@@ -4,8 +4,9 @@
 //
 // The benchmark sweeps the number of concurrent IdealJoin sessions
 // (1..8, mirroring the simulator's multi-user study). At each point the
-// same batch runs (a) sequentially through the direct path, where every
-// query spawns and joins its own per-operation threads, and (b)
+// same batch runs (a) sequentially, each query's plan scheduled and run
+// inline by Executor::Run, which spawns and joins its own per-operation
+// threads, and (b)
 // concurrently through Database::Submit, where all sessions draw
 // workers from one engine-wide pool sized like the sequential run's
 // thread allocation. Admission control caps in-flight execution at
@@ -24,11 +25,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "dbs3/database.h"
 #include "dbs3/query.h"
+#include "engine/executor.h"
+#include "engine/plan.h"
+#include "sched/scheduler.h"
 #include "server/query_runtime.h"
 
 namespace dbs3 {
@@ -79,18 +84,42 @@ QueryOptions BaseOptions() {
   return options;
 }
 
-/// One rep of the legacy path: `sessions` queries back to back, each
-/// spawning its own per-operation threads inside Executor::Run.
+/// The IdealJoin A ⋈ Bp on `key` (join -> store, Figure 10) scheduled and
+/// executed inline on the calling thread: Executor::Run spawns and joins
+/// private per-operation threads, with no runtime in between.
+Status RunIdealJoinInline(Database& db, const QueryOptions& options) {
+  DBS3_ASSIGN_OR_RETURN(Relation * a, db.relation("A"));
+  DBS3_ASSIGN_OR_RETURN(Relation * b, db.relation("Bp"));
+  DBS3_ASSIGN_OR_RETURN(const size_t a_col, a->schema().IndexOf("key"));
+  DBS3_ASSIGN_OR_RETURN(const size_t b_col, b->schema().IndexOf("key"));
+  Relation result("Res", Schema::Concat(a->schema(), b->schema()), a_col,
+                  Partitioner(a->partitioner().kind(), a->degree()));
+  Plan plan;
+  const size_t join = plan.AddNode(
+      "join", ActivationMode::kTriggered, a->degree(),
+      std::make_unique<TriggeredJoinLogic>(a, a_col, b, b_col,
+                                           options.algorithm));
+  const size_t store =
+      plan.AddNode("store", ActivationMode::kPipelined, a->degree(),
+                   std::make_unique<StoreLogic>(&result));
+  DBS3_RETURN_IF_ERROR(plan.ConnectSameInstance(join, store));
+  DBS3_RETURN_IF_ERROR(
+      ScheduleQuery(plan, options.cost_model, options.schedule).status());
+  Executor executor;
+  DBS3_ASSIGN_OR_RETURN(ExecutionResult execution, executor.Run(plan));
+  return execution.completion;
+}
+
+/// One rep of the sequential baseline: `sessions` queries back to back,
+/// each spawning its own per-operation threads inside Executor::Run.
 ModeResult RunSequential(Database& db, size_t sessions) {
-  QueryOptions options = BaseOptions();
-  options.use_shared_runtime = false;
+  const QueryOptions options = BaseOptions();
   ModeResult out;
   out.sessions = sessions;
   const auto start = std::chrono::steady_clock::now();
   for (size_t s = 0; s < sessions; ++s) {
     const auto q0 = std::chrono::steady_clock::now();
-    auto r = RunIdealJoin(db, "A", "key", "Bp", "key", options);
-    CheckOk(r.status(), "sequential IdealJoin");
+    CheckOk(RunIdealJoinInline(db, options), "sequential IdealJoin");
     out.latencies_s.push_back(
         Seconds(std::chrono::steady_clock::now() - q0));
   }
@@ -146,10 +175,7 @@ void Run() {
 
   // Warm both paths (relation pages, allocator) outside the timed reps.
   {
-    QueryOptions warm = BaseOptions();
-    warm.use_shared_runtime = false;
-    CheckOk(RunIdealJoin(db, "A", "key", "Bp", "key", warm).status(),
-            "warmup direct");
+    CheckOk(RunIdealJoinInline(db, BaseOptions()), "warmup inline");
     CheckOk(RunIdealJoin(db, "A", "key", "Bp", "key", BaseOptions())
                 .status(),
             "warmup runtime");

@@ -101,9 +101,8 @@ void BM_IdealJoinEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_IdealJoinEndToEnd)
     ->Args({static_cast<int>(JoinAlgorithm::kNestedLoop), 2})
-    ->Args({static_cast<int>(JoinAlgorithm::kHash), 2})
     ->Args({static_cast<int>(JoinAlgorithm::kTempIndex), 2})
-    ->Args({static_cast<int>(JoinAlgorithm::kHash), 4})
+    ->Args({static_cast<int>(JoinAlgorithm::kTempIndex), 4})
     ->Unit(benchmark::kMillisecond);
 
 // Interference ablation on real threads: the same pipelined drain with and

@@ -68,7 +68,7 @@ int main() {
   QueryOptions join_options;
   join_options.schedule.total_threads = 8;
   join_options.schedule.processors = 8;
-  join_options.algorithm = JoinAlgorithm::kHash;
+  join_options.algorithm = JoinAlgorithm::kTempIndex;
   join_options.result_name = "ideal_result";
   auto ideal = RunIdealJoin(db, "tenk1", "unique1", "tenk2", "unique1",
                             join_options);

@@ -14,7 +14,7 @@ namespace dbs3 {
 ///
 /// Durner et al. measure allocator traffic as a multi-factor swing for
 /// parallel query processing; the ChunkPool already removed it from the
-/// tuple transport, and the arena removes it from the vectorized kernels:
+/// tuple transport, and the arena removes it from the batch kernels:
 /// blocks are allocated once, Reset() rewinds the bump pointer without
 /// freeing, and steady-state kernel invocations perform zero heap
 /// allocations.

@@ -126,14 +126,15 @@ void MetricsSampler::Stop() {
 }
 
 void MetricsSampler::Loop() {
-  mu_.Lock();
-  while (!stop_) {
-    mu_.Unlock();
+  // Sample before consulting stop_: a Stop() that lands before this thread
+  // first runs still leaves one sample per Start().
+  while (true) {
     registry_->SamplePass();
-    mu_.Lock();
-    if (!stop_) cv_.WaitFor(&mu_, period_);
+    MutexLock lock(&mu_);
+    if (stop_) return;
+    cv_.WaitFor(&mu_, period_);
+    if (stop_) return;
   }
-  mu_.Unlock();
 }
 
 }  // namespace dbs3

@@ -3,7 +3,6 @@
 #include <functional>
 #include <utility>
 
-#include "common/memory_quota.h"
 #include "server/query_runtime.h"
 
 namespace dbs3 {
@@ -40,47 +39,11 @@ struct PlannedQuery {
   std::unique_ptr<Relation> result;
 };
 
-/// Deferred plan construction, run on the driver thread for submitted
-/// queries (so catalog errors surface through the handle) and inline for
-/// the legacy direct path.
+/// Deferred plan construction, run on the driver thread so catalog errors
+/// surface through the handle.
 using QueryPlanner = std::function<Result<PlannedQuery>()>;
 
-/// The cancel token a direct (non-runtime) execution observes: the
-/// caller's token if provided, a fresh one if only a deadline was set,
-/// nothing otherwise.
-CancelToken DirectToken(const QueryOptions& options) {
-  if (!options.cancel.has_value() && !options.deadline.has_value()) {
-    return CancelToken::None();
-  }
-  CancelToken token =
-      options.cancel.has_value() ? *options.cancel : CancelToken();
-  if (options.deadline.has_value()) token.set_deadline(*options.deadline);
-  return token;
-}
-
-/// Legacy path: schedule and execute inline on the caller's thread with
-/// private per-operation threads.
-Result<QueryResult> FinishDirect(Database& db, PlannedQuery planned,
-                                 const QueryOptions& options) {
-  QueryResult out;
-  DBS3_ASSIGN_OR_RETURN(out.schedule, ScheduleQuery(planned.plan,
-                                                    options.cost_model,
-                                                    options.schedule));
-  ExecOptions exec;
-  exec.cancel = DirectToken(options);
-  // The legacy path has no QueryEnv, so the quota lives here; it outlives
-  // the execution (and the plan's logics release against it on teardown).
-  MemoryQuota quota(options.memory_units);
-  exec.quota = &quota;
-  Executor executor;
-  DBS3_ASSIGN_OR_RETURN(out.execution, executor.Run(planned.plan, exec));
-  AccumulateEngineMetrics(db.metrics(), out.execution);
-  if (!out.execution.completion.ok()) return out.execution.completion;
-  out.result = std::move(planned.result);
-  return out;
-}
-
-/// Shared-runtime path: wrap the planner in a query body and submit it.
+/// Wraps the planner in a query body and submits it to the shared runtime.
 QueryHandle SubmitPlanned(Database& db, QueryPlanner planner,
                           const QueryOptions& options) {
   QuerySpec spec;
@@ -106,17 +69,6 @@ QueryHandle SubmitPlanned(Database& db, QueryPlanner planner,
     return out;
   };
   return db.Submit(std::move(spec));
-}
-
-/// Sync facade over a planner: submit + take on the shared runtime, or
-/// the inline legacy path when the caller opted out.
-Result<QueryResult> RunPlanned(Database& db, QueryPlanner planner,
-                               const QueryOptions& options) {
-  if (!options.use_shared_runtime) {
-    DBS3_ASSIGN_OR_RETURN(PlannedQuery planned, planner());
-    return FinishDirect(db, std::move(planned), options);
-  }
-  return SubmitPlanned(db, std::move(planner), options).Take();
 }
 
 Result<size_t> ColumnOf(const Relation* rel, const std::string& column) {
@@ -150,8 +102,7 @@ Result<PlannedQuery> PlanIdealJoin(Database& db, const std::string& outer,
   const size_t join = planned.plan.AddNode(
       "join", ActivationMode::kTriggered, degree,
       std::make_unique<TriggeredJoinLogic>(outer_rel, outer_col, inner_rel,
-                                           inner_col, options.algorithm,
-                                           options.vectorize));
+                                           inner_col, options.algorithm));
   const size_t store = planned.plan.AddNode(
       "store", ActivationMode::kPipelined, degree,
       std::make_unique<StoreLogic>(planned.result.get()));
@@ -189,8 +140,7 @@ Result<PlannedQuery> PlanAssocJoin(Database& db, const std::string& probe_rel,
   const size_t join = planned.plan.AddNode(
       "join", ActivationMode::kPipelined, degree,
       std::make_unique<PipelinedJoinLogic>(inner_rel, inner_col, probe_col,
-                                           options.algorithm,
-                                           options.vectorize));
+                                           options.algorithm));
   const size_t store = planned.plan.AddNode(
       "store", ActivationMode::kPipelined, degree,
       std::make_unique<StoreLogic>(planned.result.get()));
@@ -228,12 +178,11 @@ Result<PlannedQuery> PlanFilterJoin(Database& db, const std::string& filtered,
   const size_t filter = planned.plan.AddNode(
       "filter", ActivationMode::kTriggered, filtered_rel->degree(),
       std::make_unique<FilterLogic>(filtered_rel, std::move(predicate),
-                                    selectivity, options.vectorize));
+                                    selectivity));
   const size_t join = planned.plan.AddNode(
       "join", ActivationMode::kPipelined, degree,
       std::make_unique<PipelinedJoinLogic>(inner_rel, inner_col, probe_col,
-                                           options.algorithm,
-                                           options.vectorize));
+                                           options.algorithm));
   const size_t store = planned.plan.AddNode(
       "store", ActivationMode::kPipelined, degree,
       std::make_unique<StoreLogic>(planned.result.get()));
@@ -257,7 +206,7 @@ Result<PlannedQuery> PlanSelect(Database& db, const std::string& input,
   const size_t filter = planned.plan.AddNode(
       "filter", ActivationMode::kTriggered, degree,
       std::make_unique<FilterLogic>(input_rel, std::move(predicate),
-                                    selectivity, options.vectorize));
+                                    selectivity));
   const size_t store = planned.plan.AddNode(
       "store", ActivationMode::kPipelined, degree,
       std::make_unique<StoreLogic>(planned.result.get()));
@@ -266,63 +215,6 @@ Result<PlannedQuery> PlanSelect(Database& db, const std::string& input,
 }
 
 }  // namespace
-
-Result<QueryResult> RunIdealJoin(Database& db, const std::string& outer,
-                                 const std::string& outer_column,
-                                 const std::string& inner,
-                                 const std::string& inner_column,
-                                 const QueryOptions& options) {
-  return RunPlanned(
-      db,
-      [&db, outer, outer_column, inner, inner_column, options] {
-        return PlanIdealJoin(db, outer, outer_column, inner, inner_column,
-                             options);
-      },
-      options);
-}
-
-Result<QueryResult> RunAssocJoin(Database& db, const std::string& probe_rel,
-                                 const std::string& probe_column,
-                                 const std::string& inner,
-                                 const std::string& inner_column,
-                                 const QueryOptions& options) {
-  return RunPlanned(
-      db,
-      [&db, probe_rel, probe_column, inner, inner_column, options] {
-        return PlanAssocJoin(db, probe_rel, probe_column, inner,
-                             inner_column, options);
-      },
-      options);
-}
-
-Result<QueryResult> RunFilterJoin(Database& db, const std::string& filtered,
-                                  Predicate predicate,
-                                  double selectivity,
-                                  const std::string& filter_join_column,
-                                  const std::string& inner,
-                                  const std::string& inner_column,
-                                  const QueryOptions& options) {
-  return RunPlanned(
-      db,
-      [&db, filtered, predicate = std::move(predicate), selectivity,
-       filter_join_column, inner, inner_column, options] {
-        return PlanFilterJoin(db, filtered, predicate, selectivity,
-                              filter_join_column, inner, inner_column,
-                              options);
-      },
-      options);
-}
-
-Result<QueryResult> RunSelect(Database& db, const std::string& input,
-                              Predicate predicate, double selectivity,
-                              const QueryOptions& options) {
-  return RunPlanned(
-      db,
-      [&db, input, predicate = std::move(predicate), selectivity, options] {
-        return PlanSelect(db, input, predicate, selectivity, options);
-      },
-      options);
-}
 
 QueryHandle SubmitIdealJoin(Database& db, const std::string& outer,
                             const std::string& outer_column,
@@ -378,6 +270,44 @@ QueryHandle SubmitSelect(Database& db, const std::string& input,
         return PlanSelect(db, input, predicate, selectivity, options);
       },
       options);
+}
+
+Result<QueryResult> RunIdealJoin(Database& db, const std::string& outer,
+                                 const std::string& outer_column,
+                                 const std::string& inner,
+                                 const std::string& inner_column,
+                                 const QueryOptions& options) {
+  return SubmitIdealJoin(db, outer, outer_column, inner, inner_column,
+                         options)
+      .Take();
+}
+
+Result<QueryResult> RunAssocJoin(Database& db, const std::string& probe_rel,
+                                 const std::string& probe_column,
+                                 const std::string& inner,
+                                 const std::string& inner_column,
+                                 const QueryOptions& options) {
+  return SubmitAssocJoin(db, probe_rel, probe_column, inner, inner_column,
+                         options)
+      .Take();
+}
+
+Result<QueryResult> RunFilterJoin(Database& db, const std::string& filtered,
+                                  Predicate predicate, double selectivity,
+                                  const std::string& filter_join_column,
+                                  const std::string& inner,
+                                  const std::string& inner_column,
+                                  const QueryOptions& options) {
+  return SubmitFilterJoin(db, filtered, std::move(predicate), selectivity,
+                          filter_join_column, inner, inner_column, options)
+      .Take();
+}
+
+Result<QueryResult> RunSelect(Database& db, const std::string& input,
+                              Predicate predicate, double selectivity,
+                              const QueryOptions& options) {
+  return SubmitSelect(db, input, std::move(predicate), selectivity, options)
+      .Take();
 }
 
 }  // namespace dbs3

@@ -25,13 +25,7 @@ struct QueryOptions {
   /// Operator complexity constants for the scheduler.
   CostModel cost_model;
   /// Join algorithm for join queries.
-  JoinAlgorithm algorithm = JoinAlgorithm::kHash;
-  /// Run the vectorized batch kernels (columnar predicate evaluation,
-  /// batched index probes) when a predicate is lowerable and activations
-  /// carry enough tuples. Off = always the per-row loops; results are
-  /// identical either way, and chunk_size=1 executions take the row path
-  /// automatically.
-  bool vectorize = true;
+  JoinAlgorithm algorithm = JoinAlgorithm::kTempIndex;
   /// Name given to the materialized result relation.
   std::string result_name = "Res";
 
@@ -46,10 +40,6 @@ struct QueryOptions {
   std::optional<std::chrono::steady_clock::time_point> deadline;
   /// External cancel token; default = fresh (cancel via the handle).
   std::optional<CancelToken> cancel;
-  /// Run through the database's shared QueryRuntime (admission control,
-  /// shared worker pool). false = legacy path: schedule and execute
-  /// inline on the caller's thread with private per-operation threads.
-  bool use_shared_runtime = true;
 };
 
 /// QueryResult (materialized relation + ExecutionResult + ScheduleReport)
@@ -93,8 +83,7 @@ Result<QueryResult> RunSelect(Database& db, const std::string& input,
 
 /// Async variants: queue the query on the database's shared runtime and
 /// return immediately with a handle (wait / cancel / stats / Take). The
-/// RunXxx functions above are Submit + Take when
-/// options.use_shared_runtime (the default).
+/// RunXxx functions above are Submit + Take.
 QueryHandle SubmitIdealJoin(Database& db, const std::string& outer,
                             const std::string& outer_column,
                             const std::string& inner,

@@ -86,13 +86,6 @@ size_t GroupByLogic::PartitionOf(const Value& key, size_t level) const {
                              kSpillFanout);
 }
 
-void GroupByLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
-  (void)out;
-  InstanceState& state = *instances_[instance];
-  MutexLock lock(&state.mu);
-  AccumulateLocked(state, tuple);
-}
-
 void GroupByLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
                                Emitter* out) {
   (void)out;
@@ -451,23 +444,26 @@ Status SortLogic::error() const {
   return Status::OK();
 }
 
-void SortLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
+void SortLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
+                            Emitter* out) {
   (void)out;
   InstanceState& state = *instances_[instance];
   MutexLock lock(&state.mu);
-  if (!state.error.ok()) return;  // Already over budget: drop quietly.
-  if (resources_.quota != nullptr && !resources_.quota->TryCharge(1)) {
-    state.error = Status::ResourceExhausted(
-        "sort buffer exceeded the query's declared memory budget "
-        "(sort has no spill path; raise memory_units)");
-    resources_.quota->Release(state.charged);
-    state.charged = 0;
-    std::vector<Tuple>().swap(state.rows);
-    return;
+  for (Tuple& t : tuples) {
+    if (!state.error.ok()) return;  // Already over budget: drop quietly.
+    if (resources_.quota != nullptr && !resources_.quota->TryCharge(1)) {
+      state.error = Status::ResourceExhausted(
+          "sort buffer exceeded the query's declared memory budget "
+          "(sort has no spill path; raise memory_units)");
+      resources_.quota->Release(state.charged);
+      state.charged = 0;
+      std::vector<Tuple>().swap(state.rows);
+      return;
+    }
+    ++state.charged;
+    // NOLINTNEXTLINE(dbs3-no-alloc-in-hot-path) // sort is a blocking operator: it materializes its input by design, and the unit charged above is the budget gate for this growth
+    state.rows.push_back(std::move(t));
   }
-  ++state.charged;
-  // NOLINTNEXTLINE(dbs3-no-alloc-in-hot-path) // sort is a blocking operator: it materializes its input by design, and the unit charged above is the budget gate for this growth
-  state.rows.push_back(std::move(tuple));
 }
 
 void SortLogic::OnFinish(size_t instance, Emitter* out) {
@@ -512,13 +508,11 @@ NodeEstimate SortLogic::Estimate(const CostModel& cost_model,
 
 PipelinedSemiJoinLogic::PipelinedSemiJoinLogic(const Relation* inner,
                                                size_t inner_column,
-                                               size_t probe_column, bool anti,
-                                               bool vectorize)
+                                               size_t probe_column, bool anti)
     : inner_(inner),
-      inner_column_(inner_column),
       probe_column_(probe_column),
       anti_(anti),
-      vectorize_(vectorize) {}
+      indexes_(inner, inner_column) {}
 
 Status PipelinedSemiJoinLogic::Prepare(size_t num_instances) {
   if (num_instances > inner_->degree()) {
@@ -527,60 +521,33 @@ Status PipelinedSemiJoinLogic::Prepare(size_t num_instances) {
         " instances but inner relation '" + inner_->name() + "' has only " +
         std::to_string(inner_->degree()) + " fragments");
   }
-  index_once_.clear();
-  indexes_.clear();
-  for (size_t i = 0; i < num_instances; ++i) {
-    index_once_.push_back(std::make_unique<std::once_flag>());
-    indexes_.push_back(nullptr);
-  }
+  indexes_.Reset(num_instances);
   return Status::OK();
-}
-
-const TempIndex* PipelinedSemiJoinLogic::IndexFor(size_t instance) {
-  std::call_once(*index_once_[instance], [&] {
-    indexes_[instance] = std::make_unique<TempIndex>(
-        inner_->fragment(instance), inner_column_);
-  });
-  return indexes_[instance].get();
-}
-
-void PipelinedSemiJoinLogic::OnData(size_t instance, Tuple tuple,
-                                    Emitter* out) {
-  // Probe() materializes no match list — existence is the head of the
-  // chain, found without allocating.
-  const bool match =
-      !IndexFor(instance)->Probe(tuple.at(probe_column_)).empty();
-  if (match != anti_) out->Emit(instance, std::move(tuple));
 }
 
 void PipelinedSemiJoinLogic::OnDataBatch(size_t instance,
                                          std::span<Tuple> tuples,
                                          Emitter* out) {
-  constexpr size_t kMinBatchRows = 4;
-  if (!vectorize_ || tuples.size() < kMinBatchRows) {
-    for (Tuple& t : tuples) OnData(instance, std::move(t), out);
+  const TempIndex& index = indexes_.For(instance);
+  if (tuples.size() < kMinBatchRows) {
+    // Probe() materializes no match list — existence is the head of the
+    // chain, found without allocating.
+    for (Tuple& t : tuples) {
+      const bool match = !index.Probe(t.at(probe_column_)).empty();
+      if (match != anti_) out->Emit(instance, std::move(t));
+    }
     return;
   }
   // Existence only needs each key's first match: one batched, prefetching
   // probe resolves the whole chunk, then the emit loop moves out the
   // keepers in order (identical to the row loop's output).
-  const TempIndex* index = IndexFor(instance);
   const size_t n = tuples.size();
   Arena& arena = ThreadLocalKernelArena();
   ScopedArena scope(&arena);
   ColumnBatch batch(std::span<const Tuple>(tuples.data(), n), &arena);
-  uint32_t* first = arena.AllocateArrayOf<uint32_t>(n);
-  const int64_t* int_keys =
-      index->int_keyed() ? batch.Ints(probe_column_) : nullptr;
-  if (int_keys != nullptr) {
-    index->ProbeKeys(std::span<const int64_t>(int_keys, n), first);
-  } else {
-    const uint64_t* hashes = HashColumn(batch, probe_column_, &arena);
-    const Value* const* keys = batch.Values(probe_column_);
-    index->ProbeHashed(std::span<const uint64_t>(hashes, n), keys, first);
-  }
+  const TileMatches m = ProbeFirstMatches(index, batch, probe_column_, &arena);
   for (size_t i = 0; i < n; ++i) {
-    const bool match = first[i] != TempIndex::kNone;
+    const bool match = m.first[i] != TempIndex::kNone;
     if (match != anti_) out->Emit(instance, std::move(tuples[i]));
   }
 }

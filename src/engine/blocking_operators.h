@@ -57,8 +57,7 @@ class GroupByLogic : public OperatorLogic {
 
   void BindExecution(const ExecResources& resources) override;
   Status Prepare(size_t num_instances) override;
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
-  /// Chunked accumulate: takes the instance lock once per activation.
+  /// Takes the instance lock once per activation.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
   void OnFinish(size_t instance, Emitter* out) override;
@@ -153,7 +152,9 @@ class SortLogic : public OperatorLogic {
 
   void BindExecution(const ExecResources& resources) override;
   Status Prepare(size_t num_instances) override;
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
+  /// Buffers the activation's tuples under the instance lock.
+  void OnDataBatch(size_t instance, std::span<Tuple> tuples,
+                   Emitter* out) override;
   void OnFinish(size_t instance, Emitter* out) override;
   Status error() const override;
   std::string name() const override { return "sort"; }
@@ -179,16 +180,12 @@ class SortLogic : public OperatorLogic {
 /// matching key. The existential form of the AssocJoin probe.
 class PipelinedSemiJoinLogic : public OperatorLogic {
  public:
-  /// `vectorize` enables the batched prefetching existence probe for large
-  /// data activations (single-tuple activations always take the row path).
   PipelinedSemiJoinLogic(const Relation* inner, size_t inner_column,
-                         size_t probe_column, bool anti = false,
-                         bool vectorize = true);
+                         size_t probe_column, bool anti = false);
 
   Status Prepare(size_t num_instances) override;
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
-  /// Chunked probe: hashes the whole probe-key column up front and resolves
-  /// every key's existence with one batched, prefetching index probe.
+  /// Large chunks resolve every key's existence with one batched,
+  /// prefetching index probe.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
   std::string name() const override { return anti_ ? "anti-join" : "semi-join"; }
@@ -196,15 +193,10 @@ class PipelinedSemiJoinLogic : public OperatorLogic {
                         double input_tuples) const override;
 
  private:
-  const TempIndex* IndexFor(size_t instance);
-
   const Relation* inner_;
-  size_t inner_column_;
   size_t probe_column_;
   bool anti_;
-  bool vectorize_;
-  std::vector<std::unique_ptr<std::once_flag>> index_once_;
-  std::vector<std::unique_ptr<TempIndex>> indexes_;
+  FragmentIndexes indexes_;
 };
 
 }  // namespace dbs3

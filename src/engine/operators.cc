@@ -11,11 +11,6 @@ namespace dbs3 {
 
 namespace {
 
-/// Data activations with at least this many tuples take the batch kernels;
-/// smaller ones — chunk_size=1 in particular — stay on the row path, so the
-/// paper-faithful per-tuple mode never pays batch setup.
-constexpr size_t kMinBatchRows = 4;
-
 /// Triggered operators process whole fragments; the batch path tiles them
 /// so selection vectors, hash arrays, and column views stay cache-resident
 /// regardless of fragment size.
@@ -34,29 +29,22 @@ void BatchProbeJoin(const TempIndex& index, std::span<const Tuple> probe,
     const size_t count = std::min(kFragmentTile, probe.size() - base);
     ScopedArena scope(&arena);
     ColumnBatch batch(probe.subspan(base, count), &arena);
-    uint32_t* first = arena.AllocateArrayOf<uint32_t>(count);
-    const int64_t* int_keys =
-        index.int_keyed() ? batch.Ints(probe_column) : nullptr;
-    if (int_keys != nullptr) {
-      // Int keys both sides: the gathered column doubles as the probe
-      // keys, bucket indexes are computed inside the probe (no hash
-      // array), and every confirm is a flat compare against the index's
-      // inline key cache.
-      index.ProbeKeys(std::span<const int64_t>(int_keys, count), first);
+    const TileMatches m =
+        ProbeFirstMatches(index, batch, probe_column, &arena);
+    if (m.ints != nullptr) {
+      // Int keys both sides: every chain confirm is a flat compare against
+      // the index's inline key cache.
       for (size_t i = 0; i < count; ++i) {
-        for (uint32_t pos = first[i]; pos != TempIndex::kNone;
-             pos = index.NextMatchAfter(pos, int_keys[i])) {
+        for (uint32_t pos = m.first[i]; pos != TempIndex::kNone;
+             pos = index.NextMatchAfter(pos, m.ints[i])) {
           out->EmitConcat(instance, probe[base + i], inner[pos]);
         }
       }
       continue;
     }
-    const uint64_t* hashes = HashColumn(batch, probe_column, &arena);
-    const Value* const* keys = batch.Values(probe_column);
-    index.ProbeHashed(std::span<const uint64_t>(hashes, count), keys, first);
     for (size_t i = 0; i < count; ++i) {
-      for (uint32_t pos = first[i]; pos != TempIndex::kNone;
-           pos = index.NextMatchAfter(pos, hashes[i], *keys[i])) {
+      for (uint32_t pos = m.first[i]; pos != TempIndex::kNone;
+           pos = index.NextMatchAfter(pos, m.hashes[i], *m.values[i])) {
         out->EmitConcat(instance, probe[base + i], inner[pos]);
       }
     }
@@ -85,8 +73,6 @@ const char* JoinAlgorithmName(JoinAlgorithm a) {
   switch (a) {
     case JoinAlgorithm::kNestedLoop:
       return "nested-loop";
-    case JoinAlgorithm::kHash:
-      return "hash";
     case JoinAlgorithm::kTempIndex:
       return "temp-index";
   }
@@ -96,11 +82,10 @@ const char* JoinAlgorithmName(JoinAlgorithm a) {
 // ---------------------------------------------------------------- Filter
 
 FilterLogic::FilterLogic(const Relation* input, Predicate predicate,
-                         double selectivity, bool vectorize)
+                         double selectivity)
     : input_(input),
       predicate_(std::move(predicate)),
-      selectivity_(selectivity),
-      vectorize_(vectorize) {}
+      selectivity_(selectivity) {}
 
 NodeEstimate FilterLogic::Estimate(const CostModel& cost_model,
                                    double input_tuples) const {
@@ -131,8 +116,7 @@ Status FilterLogic::Prepare(size_t num_instances) {
 
 void FilterLogic::OnTrigger(size_t instance, Emitter* out) {
   const std::vector<Tuple>& rows = input_->fragment(instance).tuples;
-  if (vectorize_ && predicate_.expr.has_value() &&
-      rows.size() >= kMinBatchRows) {
+  if (predicate_.expr.has_value() && rows.size() >= kMinBatchRows) {
     // Batch kernel, one tile at a time: build the column view, evaluate the
     // lowered predicate into a selection vector, emit the survivors. All
     // scratch lives in the per-thread arena — zero steady-state heap
@@ -210,14 +194,12 @@ TriggeredJoinLogic::TriggeredJoinLogic(const Relation* outer,
                                        size_t outer_column,
                                        const Relation* inner,
                                        size_t inner_column,
-                                       JoinAlgorithm algorithm,
-                                       bool vectorize)
+                                       JoinAlgorithm algorithm)
     : outer_(outer),
       outer_column_(outer_column),
       inner_(inner),
       inner_column_(inner_column),
-      algorithm_(algorithm),
-      vectorize_(vectorize) {}
+      algorithm_(algorithm) {}
 
 NodeEstimate TriggeredJoinLogic::Estimate(const CostModel& cost_model,
                                           double input_tuples) const {
@@ -274,13 +256,12 @@ void TriggeredJoinLogic::OnTrigger(size_t instance, Emitter* out) {
         }
       }
       break;
-    case JoinAlgorithm::kHash:
     case JoinAlgorithm::kTempIndex: {
       // Build on the fly over the inner fragment, probe with the outer.
       // Probe() walks the index's preallocated chains and EmitConcat writes
       // into a recycled output slot, so the match loop allocates nothing.
       const TempIndex index(inner, inner_column_);
-      if (vectorize_ && outer.tuples.size() >= kMinBatchRows) {
+      if (outer.tuples.size() >= kMinBatchRows) {
         BatchProbeJoin(index, outer.tuples, outer_column_, inner.tuples,
                        instance, out);
         break;
@@ -295,18 +276,39 @@ void TriggeredJoinLogic::OnTrigger(size_t instance, Emitter* out) {
   }
 }
 
+// ------------------------------------------------------ FragmentIndexes
+
+FragmentIndexes::FragmentIndexes(const Relation* inner, size_t column)
+    : inner_(inner), column_(column) {}
+
+void FragmentIndexes::Reset(size_t num_instances) {
+  once_.clear();
+  indexes_.clear();
+  for (size_t i = 0; i < num_instances; ++i) {
+    once_.push_back(std::make_unique<std::once_flag>());
+    indexes_.push_back(nullptr);
+  }
+}
+
+const TempIndex& FragmentIndexes::For(size_t instance) {
+  std::call_once(*once_[instance], [&] {
+    indexes_[instance] =
+        std::make_unique<TempIndex>(inner_->fragment(instance), column_);
+  });
+  return *indexes_[instance];
+}
+
 // -------------------------------------------------------- PipelinedJoin
 
 PipelinedJoinLogic::PipelinedJoinLogic(const Relation* inner,
                                        size_t inner_column,
                                        size_t probe_column,
-                                       JoinAlgorithm algorithm,
-                                       bool vectorize)
+                                       JoinAlgorithm algorithm)
     : inner_(inner),
       inner_column_(inner_column),
       probe_column_(probe_column),
       algorithm_(algorithm),
-      vectorize_(vectorize) {}
+      indexes_(inner, inner_column) {}
 
 NodeEstimate PipelinedJoinLogic::Estimate(const CostModel& cost_model,
                                           double input_tuples) const {
@@ -341,26 +343,8 @@ Status PipelinedJoinLogic::Prepare(size_t num_instances) {
         " instances but inner relation '" + inner_->name() + "' has only " +
         std::to_string(inner_->degree()) + " fragments");
   }
-  index_once_.clear();
-  indexes_.clear();
-  for (size_t i = 0; i < num_instances; ++i) {
-    index_once_.push_back(std::make_unique<std::once_flag>());
-    indexes_.push_back(nullptr);
-  }
+  indexes_.Reset(num_instances);
   return Status::OK();
-}
-
-const TempIndex* PipelinedJoinLogic::IndexFor(size_t instance) {
-  std::call_once(*index_once_[instance], [&] {
-    indexes_[instance] =
-        std::make_unique<TempIndex>(inner_->fragment(instance),
-                                    inner_column_);
-  });
-  return indexes_[instance].get();
-}
-
-void PipelinedJoinLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
-  OnDataBatch(instance, std::span<Tuple>(&tuple, 1), out);
 }
 
 void PipelinedJoinLogic::OnDataBatch(size_t instance,
@@ -378,17 +362,16 @@ void PipelinedJoinLogic::OnDataBatch(size_t instance,
         }
       }
       break;
-    case JoinAlgorithm::kHash:
     case JoinAlgorithm::kTempIndex: {
-      const TempIndex* index = IndexFor(instance);
-      if (vectorize_ && tuples.size() >= kMinBatchRows) {
-        BatchProbeJoin(*index,
+      const TempIndex& index = indexes_.For(instance);
+      if (tuples.size() >= kMinBatchRows) {
+        BatchProbeJoin(index,
                        std::span<const Tuple>(tuples.data(), tuples.size()),
                        probe_column_, inner.tuples, instance, out);
         break;
       }
       for (const Tuple& probe : tuples) {
-        for (uint32_t i : index->Probe(probe.at(probe_column_))) {
+        for (uint32_t i : index.Probe(probe.at(probe_column_))) {
           out->EmitConcat(instance, probe, inner.tuples[i]);
         }
       }
@@ -424,12 +407,6 @@ Status StoreLogic::Prepare(size_t num_instances) {
   return Status::OK();
 }
 
-void StoreLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
-  (void)out;
-  MutexLock lock(fragment_mu_[instance].get());
-  result_->AppendToFragment(instance, std::move(tuple));
-}
-
 void StoreLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
                              Emitter* out) {
   (void)out;
@@ -442,22 +419,15 @@ void StoreLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
 // -------------------------------------------------------- PipelinedFilter
 
 PipelinedFilterLogic::PipelinedFilterLogic(Predicate predicate,
-                                           double selectivity, bool vectorize)
-    : predicate_(std::move(predicate)),
-      selectivity_(selectivity),
-      vectorize_(vectorize) {}
-
-void PipelinedFilterLogic::OnData(size_t instance, Tuple tuple,
-                                  Emitter* out) {
-  if (predicate_.row(tuple)) out->Emit(instance, std::move(tuple));
-}
+                                           double selectivity)
+    : predicate_(std::move(predicate)), selectivity_(selectivity) {}
 
 void PipelinedFilterLogic::OnDataBatch(size_t instance,
                                        std::span<Tuple> tuples,
                                        Emitter* out) {
   if (predicate_.expr.has_value()) {
     const PredExpr& expr = *predicate_.expr;
-    if (vectorize_ && tuples.size() >= kMinBatchRows) {
+    if (tuples.size() >= kMinBatchRows) {
       // Selection-vector kernel: evaluate the whole chunk column-wise, then
       // move out the survivors in order (identical to the row loop's output).
       Arena& arena = ThreadLocalKernelArena();
@@ -497,14 +467,10 @@ NodeEstimate PipelinedFilterLogic::Estimate(const CostModel& cost_model,
 ProjectLogic::ProjectLogic(std::vector<size_t> columns)
     : columns_(std::move(columns)) {}
 
-void ProjectLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
-  // EmitSelect writes the selected columns straight into a recycled output
-  // slot; no output tuple is materialized here.
-  out->EmitSelect(instance, tuple, columns_);
-}
-
 void ProjectLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
                                Emitter* out) {
+  // EmitSelect writes the selected columns straight into a recycled output
+  // slot; no output tuple is materialized here.
   const std::span<const size_t> columns(columns_);
   for (const Tuple& t : tuples) out->EmitSelect(instance, t, columns);
 }
@@ -525,22 +491,12 @@ MapLogic::MapLogic(std::function<Tuple(Tuple)> fn) : fn_(std::move(fn)) {}
 MapLogic::MapLogic(std::function<void(const Tuple&, Tuple*)> fn)
     : in_place_(std::move(fn)) {}
 
-void MapLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
+void MapLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
+                           Emitter* out) {
   if (in_place_) {
     // The scratch row keeps its value storage across calls (AssignFrom /
     // AssignConcat overwrite live slots), and EmitCopy assigns it into a
     // recycled chunk slot — steady state constructs no tuples.
-    thread_local Tuple scratch;
-    in_place_(tuple, &scratch);
-    out->EmitCopy(instance, scratch);
-    return;
-  }
-  out->Emit(instance, fn_(std::move(tuple)));
-}
-
-void MapLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
-                           Emitter* out) {
-  if (in_place_) {
     thread_local Tuple scratch;
     for (const Tuple& t : tuples) {
       in_place_(t, &scratch);
@@ -555,16 +511,6 @@ void MapLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
 
 AggregateLogic::AggregateLogic(std::optional<size_t> sum_column)
     : sum_column_(sum_column) {}
-
-void AggregateLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
-  (void)instance;
-  (void)out;
-  count_.fetch_add(1, std::memory_order_relaxed);
-  if (sum_column_.has_value()) {
-    const Value& v = tuple.at(*sum_column_);
-    if (v.is_int()) sum_.fetch_add(v.AsInt(), std::memory_order_relaxed);
-  }
-}
 
 void AggregateLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
                                  Emitter* out) {

@@ -44,11 +44,10 @@ struct Predicate {
                 !std::is_same_v<std::decay_t<F>, PredExpr>>>
   Predicate(F fn) : row(std::move(fn)) {}  // NOLINT: implicit by design.
 
-  /// A lowered comparison: vectorizable. The row form is derived from the
-  /// expression, so both paths share one definition of truth.
+  /// A lowered comparison: runs on the batch kernels. The row form is
+  /// derived from the expression, so both paths share one definition of
+  /// truth.
   Predicate(PredExpr e);  // NOLINT: implicit by design.
-
-  bool vectorizable() const { return expr.has_value(); }
 };
 
 /// Predicate `tuple[column] == value`.
@@ -67,10 +66,9 @@ class FilterLogic : public OperatorLogic {
  public:
   /// `input` must outlive the execution. `selectivity` is the estimated
   /// fraction of tuples the predicate keeps (compiler statistic, used only
-  /// for scheduling). `vectorize` enables the tiled batch kernel when the
-  /// predicate is lowerable (off = always the row loop, for comparisons).
+  /// for scheduling). A lowered predicate runs the tiled batch kernel.
   FilterLogic(const Relation* input, Predicate predicate,
-              double selectivity = 1.0, bool vectorize = true);
+              double selectivity = 1.0);
 
   Status Prepare(size_t num_instances) override;
   void OnTrigger(size_t instance, Emitter* out) override;
@@ -82,7 +80,6 @@ class FilterLogic : public OperatorLogic {
   const Relation* input_;
   Predicate predicate_;
   double selectivity_;
-  bool vectorize_;
 };
 
 /// Triggered redistribution: the control activation for instance i scans
@@ -104,9 +101,9 @@ class TransmitLogic : public OperatorLogic {
 
 /// Join algorithms. The paper uses nested loop when the join algorithm has
 /// no impact (to slow down small-database runs) and an on-the-fly temporary
-/// index for the 500K databases; a classic build/probe hash join is included
-/// as the production default.
-enum class JoinAlgorithm { kNestedLoop, kHash, kTempIndex };
+/// index (a TempIndex hash index over each inner fragment) for the 500K
+/// databases; the temporary index is the default.
+enum class JoinAlgorithm { kNestedLoop, kTempIndex };
 
 const char* JoinAlgorithmName(JoinAlgorithm a);
 
@@ -116,11 +113,10 @@ const char* JoinAlgorithmName(JoinAlgorithm a);
 class TriggeredJoinLogic : public OperatorLogic {
  public:
   /// Joins `outer` and `inner` on outer.column(outer_column) ==
-  /// inner.column(inner_column). Requires equal degrees. `vectorize`
-  /// enables the tiled batch-probe kernel for the indexed algorithms.
+  /// inner.column(inner_column). Requires equal degrees.
   TriggeredJoinLogic(const Relation* outer, size_t outer_column,
                      const Relation* inner, size_t inner_column,
-                     JoinAlgorithm algorithm, bool vectorize = true);
+                     JoinAlgorithm algorithm);
 
   Status Prepare(size_t num_instances) override;
   void OnTrigger(size_t instance, Emitter* out) override;
@@ -134,7 +130,27 @@ class TriggeredJoinLogic : public OperatorLogic {
   const Relation* inner_;
   size_t inner_column_;
   JoinAlgorithm algorithm_;
-  bool vectorize_;
+};
+
+/// Per-instance temporary indexes over the fragments of an inner relation:
+/// each is built on the first probe of its instance and then shared by
+/// every thread draining that instance (the pipelined joins' on-the-fly
+/// index).
+class FragmentIndexes {
+ public:
+  FragmentIndexes(const Relation* inner, size_t column);
+
+  /// Drops every index and makes room for `num_instances` (from Prepare).
+  void Reset(size_t num_instances);
+
+  /// The index over fragment `instance`, built by the first caller.
+  const TempIndex& For(size_t instance);
+
+ private:
+  const Relation* inner_;
+  size_t column_;
+  std::vector<std::unique_ptr<std::once_flag>> once_;
+  std::vector<std::unique_ptr<TempIndex>> indexes_;
 };
 
 /// Pipelined join (AssocJoin node, Figure 11): the inner operand is bound
@@ -143,18 +159,14 @@ class TriggeredJoinLogic : public OperatorLogic {
 class PipelinedJoinLogic : public OperatorLogic {
  public:
   /// Probes column `probe_column` of incoming tuples against
-  /// inner.column(inner_column) on inner fragment `instance`. `vectorize`
-  /// enables the batched prefetching probe when a data activation carries
-  /// enough tuples (single-tuple activations always take the row path).
+  /// inner.column(inner_column) on inner fragment `instance`.
   PipelinedJoinLogic(const Relation* inner, size_t inner_column,
-                     size_t probe_column, JoinAlgorithm algorithm,
-                     bool vectorize = true);
+                     size_t probe_column, JoinAlgorithm algorithm);
 
   Status Prepare(size_t num_instances) override;
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
-  /// Chunked probe: resolves the inner fragment / temp index once per
-  /// activation instead of once per tuple, and for large chunks hashes the
-  /// whole probe-key column up front and runs the batched prefetching probe.
+  /// Resolves the inner fragment / temp index once per activation, and for
+  /// large chunks hashes the whole probe-key column up front and runs the
+  /// batched prefetching probe.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
   std::string name() const override { return "join"; }
@@ -162,16 +174,11 @@ class PipelinedJoinLogic : public OperatorLogic {
                         double input_tuples) const override;
 
  private:
-  /// Lazily built per-instance temp index (kHash / kTempIndex algorithms).
-  const TempIndex* IndexFor(size_t instance);
-
   const Relation* inner_;
   size_t inner_column_;
   size_t probe_column_;
   JoinAlgorithm algorithm_;
-  bool vectorize_;
-  std::vector<std::unique_ptr<std::once_flag>> index_once_;
-  std::vector<std::unique_ptr<TempIndex>> indexes_;
+  FragmentIndexes indexes_;
 };
 
 /// Pipelined materialization: appends each incoming tuple to fragment
@@ -184,8 +191,7 @@ class StoreLogic : public OperatorLogic {
   explicit StoreLogic(Relation* result);
 
   Status Prepare(size_t num_instances) override;
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
-  /// Chunked append: takes the fragment lock once per activation.
+  /// Takes the fragment lock once per activation.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
   std::string name() const override { return "store"; }
@@ -205,15 +211,11 @@ class StoreLogic : public OperatorLogic {
 class PipelinedFilterLogic : public OperatorLogic {
  public:
   /// `selectivity` is the scheduling estimate of the kept fraction.
-  /// `vectorize` enables the batch kernel for lowered predicates on large
-  /// chunks (single-tuple activations always take the row path).
-  explicit PipelinedFilterLogic(Predicate predicate, double selectivity = 1.0,
-                                bool vectorize = true);
+  explicit PipelinedFilterLogic(Predicate predicate, double selectivity = 1.0);
 
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
-  /// Chunked filter: hoists the predicate dispatch out of the loop — lowered
-  /// predicates evaluate via PredExpr::EvalRow (no std::function call per
-  /// tuple), large chunks via the selection-vector kernel.
+  /// Hoists the predicate dispatch out of the loop — lowered predicates
+  /// evaluate via PredExpr::EvalRow (no std::function call per tuple),
+  /// large chunks via the selection-vector kernel.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
   std::string name() const override { return "filter"; }
@@ -223,7 +225,6 @@ class PipelinedFilterLogic : public OperatorLogic {
  private:
   Predicate predicate_;
   double selectivity_;
-  bool vectorize_;
 };
 
 /// Pipelined projection: emits the listed columns of each incoming tuple,
@@ -234,8 +235,7 @@ class ProjectLogic : public OperatorLogic {
  public:
   explicit ProjectLogic(std::vector<size_t> columns);
 
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
-  /// Chunked projection: hoists the column-list span out of the loop.
+  /// Hoists the column-list span out of the loop.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
   std::string name() const override { return "project"; }
@@ -258,8 +258,7 @@ class MapLogic : public OperatorLogic {
   /// recycled chunk slot — no per-row construction in steady state.
   explicit MapLogic(std::function<void(const Tuple&, Tuple*)> fn);
 
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
-  /// Chunked map: hoists the form dispatch out of the loop.
+  /// Hoists the form dispatch out of the loop.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
   std::string name() const override { return "map"; }
@@ -276,9 +275,7 @@ class AggregateLogic : public OperatorLogic {
   /// Pass std::nullopt to only count.
   explicit AggregateLogic(std::optional<size_t> sum_column = std::nullopt);
 
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
-  /// Chunked aggregate: one atomic add per counter per activation instead
-  /// of one per tuple.
+  /// One atomic add per counter per activation instead of one per tuple.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
   std::string name() const override { return "aggregate"; }

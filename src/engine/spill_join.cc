@@ -165,40 +165,36 @@ void SpillingHashJoinLogic::EnsureBuilt(size_t instance) {
   std::call_once(state.built, [&] { BuildPartitions(instance); });
 }
 
-void SpillingHashJoinLogic::OnData(size_t instance, Tuple tuple,
-                                   Emitter* out) {
-  EnsureBuilt(instance);
-  InstanceState& state = *instances_[instance];
-  const Value& key = tuple.at(probe_column_);
-  Partition& part = state.parts[PartitionOf(key, 0)];
-  if (part.spilled) {
-    // Deferred probe: several worker threads may drain one instance, so
-    // the append takes the instance lock.
-    MutexLock lock(&state.mu);
-    if (part.probe_file == nullptr) {
-      Result<std::unique_ptr<SpillFile>> file =
-          SpillFile::Create(&counters_);
-      if (!file.ok()) {
-        if (state.error.ok()) state.error = file.status();
-        return;
-      }
-      part.probe_file = std::move(file).value();
-    }
-    const Status appended = part.probe_file->Append(tuple);
-    if (!appended.ok() && state.error.ok()) state.error = appended;
-    return;
-  }
-  if (part.index == nullptr) return;  // Empty resident partition: no match.
-  for (uint32_t i : part.index->Probe(key)) {
-    out->EmitConcat(instance, tuple, part.build.tuples[i]);
-  }
-}
-
 void SpillingHashJoinLogic::OnDataBatch(size_t instance,
                                         std::span<Tuple> tuples,
                                         Emitter* out) {
   EnsureBuilt(instance);
-  for (Tuple& t : tuples) OnData(instance, std::move(t), out);
+  InstanceState& state = *instances_[instance];
+  for (const Tuple& tuple : tuples) {
+    const Value& key = tuple.at(probe_column_);
+    Partition& part = state.parts[PartitionOf(key, 0)];
+    if (part.spilled) {
+      // Deferred probe: several worker threads may drain one instance, so
+      // the append takes the instance lock.
+      MutexLock lock(&state.mu);
+      if (part.probe_file == nullptr) {
+        Result<std::unique_ptr<SpillFile>> file =
+            SpillFile::Create(&counters_);
+        if (!file.ok()) {
+          if (state.error.ok()) state.error = file.status();
+          continue;
+        }
+        part.probe_file = std::move(file).value();
+      }
+      const Status appended = part.probe_file->Append(tuple);
+      if (!appended.ok() && state.error.ok()) state.error = appended;
+      continue;
+    }
+    if (part.index == nullptr) continue;  // Empty resident partition.
+    for (uint32_t i : part.index->Probe(key)) {
+      out->EmitConcat(instance, tuple, part.build.tuples[i]);
+    }
+  }
 }
 
 Status SpillingHashJoinLogic::StreamProbeFile(size_t instance,

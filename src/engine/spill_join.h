@@ -62,7 +62,8 @@ class SpillingHashJoinLogic : public OperatorLogic {
 
   void BindExecution(const ExecResources& resources) override;
   Status Prepare(size_t num_instances) override;
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
+  /// Builds the instance's partitions on its first activation, then probes
+  /// resident partitions and defers probes of spilled ones to disk.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
   void OnFinish(size_t instance, Emitter* out) override;

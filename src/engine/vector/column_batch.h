@@ -13,7 +13,7 @@ namespace dbs3 {
 
 /// The rows a kernel stage operates on, as indices into a ColumnBatch.
 ///
-/// Kernels thread one of these through the stages of a vectorized pipeline:
+/// Kernels thread one of these through the stages of a batch pipeline:
 /// a predicate kernel writes the surviving row ids (always ascending), the
 /// next stage reads them, and the emit loop walks the final selection. The
 /// id array lives in the batch's arena, so building one allocates nothing
@@ -128,7 +128,7 @@ class ColumnBatch {
   ColumnView* columns_;
 };
 
-/// The calling thread's kernel arena. Every vectorized OnDataBatch /
+/// The calling thread's kernel arena. Every batch-kernel OnDataBatch /
 /// OnTrigger tile opens a ScopedArena on it, builds its ColumnBatch,
 /// selection vectors, and hash arrays inside, and rewinds on exit — after
 /// the first few batches warm the blocks, the kernels stop touching the

@@ -3,13 +3,21 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "common/arena.h"
 #include "common/hash.h"
 #include "engine/vector/column_batch.h"
+#include "storage/temp_index.h"
 #include "storage/value.h"
 
 namespace dbs3 {
+
+/// Spans (data activations, fragments) with at least this many tuples take
+/// the batch kernels; smaller ones — chunk_size=1 in particular — stay on
+/// the row loop, so the paper's per-tuple activations never pay the column
+/// views' setup.
+inline constexpr size_t kMinBatchRows = 4;
 
 /// Hashes a whole int64 key column in one pass (SplitMix64 finalizer —
 /// identical to Value::Hash on integers, so batch and row paths agree on
@@ -39,6 +47,39 @@ inline const uint64_t* HashColumn(ColumnBatch& batch, size_t col,
     HashValueColumn(batch.Values(col), n, out);
   }
   return out;
+}
+
+/// First matches of one tile of probe keys against a TempIndex. On the
+/// int-key path `ints` holds the gathered keys (chains continue via
+/// NextMatchAfter(pos, ints[i])); otherwise `hashes` / `values` do
+/// (NextMatchAfter(pos, hashes[i], *values[i])).
+struct TileMatches {
+  const uint32_t* first = nullptr;
+  const int64_t* ints = nullptr;
+  const uint64_t* hashes = nullptr;
+  const Value* const* values = nullptr;
+};
+
+/// Resolves the first match of every row's key in column `col` with one
+/// batched, prefetching probe: straight off the int64 column when both the
+/// index and the column are int-keyed, over the hashed column otherwise.
+/// Scratch lives in `arena`.
+inline TileMatches ProbeFirstMatches(const TempIndex& index,
+                                     ColumnBatch& batch, size_t col,
+                                     Arena* arena) {
+  const size_t n = batch.num_rows();
+  uint32_t* first = arena->AllocateArrayOf<uint32_t>(n);
+  TileMatches m;
+  m.first = first;
+  m.ints = index.int_keyed() ? batch.Ints(col) : nullptr;
+  if (m.ints != nullptr) {
+    index.ProbeKeys(std::span<const int64_t>(m.ints, n), first);
+    return m;
+  }
+  m.hashes = HashColumn(batch, col, arena);
+  m.values = batch.Values(col);
+  index.ProbeHashed(std::span<const uint64_t>(m.hashes, n), m.values, first);
+  return m;
 }
 
 }  // namespace dbs3

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/memory_quota.h"
 #include "engine/blocking_operators.h"
 #include "engine/spill_join.h"
 #include "esql/parser.h"
@@ -14,48 +13,14 @@ namespace dbs3 {
 
 namespace {
 
-/// How plan phases execute: through a QueryEnv when running under the
-/// shared runtime (scheduler feedback, pooled workers, cancellation), or
-/// inline with at most a cancel token on the legacy path.
+/// Where a query's plan phases execute: its QueryEnv on the shared runtime
+/// (scheduler feedback, pooled workers, quota, cancellation).
 struct EsqlExecContext {
   QueryEnv* env = nullptr;
-  CancelToken cancel = CancelToken::None();
-  /// When set, every non-final phase's execution is appended here (becomes
+  /// Every non-final phase's execution, in order (becomes
   /// QueryResult::phases).
-  std::vector<ExecutionResult>* phase_execs = nullptr;
-  /// Inline-path memory quota (the env path uses the env's own quota). Must
-  /// outlive the phases' plans; may be null for unaccounted execution.
-  MemoryQuota* quota = nullptr;
+  std::vector<ExecutionResult> phase_execs;
 };
-
-/// Schedules and runs one plan phase through the context.
-Result<PhaseOutcome> RunEsqlPhase(Plan& plan, const CostModel& cost_model,
-                                  const ScheduleOptions& schedule,
-                                  EsqlExecContext& ctx) {
-  if (ctx.env != nullptr) return ctx.env->Run(plan, cost_model, schedule);
-  PhaseOutcome out;
-  DBS3_ASSIGN_OR_RETURN(out.schedule,
-                        ScheduleQuery(plan, cost_model, schedule));
-  ExecOptions exec;
-  exec.cancel = ctx.cancel;
-  exec.quota = ctx.quota;
-  Executor executor;
-  DBS3_ASSIGN_OR_RETURN(out.execution, executor.Run(plan, exec));
-  if (!out.execution.completion.ok()) return out.execution.completion;
-  return out;
-}
-
-/// The cancel token the legacy inline path observes (mirrors the query
-/// facade): caller's token, fresh-with-deadline, or none.
-CancelToken InlineToken(const EsqlOptions& options) {
-  if (!options.cancel.has_value() && !options.deadline.has_value()) {
-    return CancelToken::None();
-  }
-  CancelToken token =
-      options.cancel.has_value() ? *options.cancel : CancelToken();
-  if (options.deadline.has_value()) token.set_deadline(*options.deadline);
-  return token;
-}
 
 /// Provenance of one column of the working schema (for name resolution
 /// across joins, where duplicate bare names may exist).
@@ -250,19 +215,15 @@ Result<std::unique_ptr<Relation>> MaterializeRepartition(
   Plan plan;
   const size_t filter = plan.AddNode(
       "repartition-scan", ActivationMode::kTriggered, rel.degree(),
-      std::make_unique<FilterLogic>(&rel, std::move(predicate), selectivity,
-                                    options.vectorize));
+      std::make_unique<FilterLogic>(&rel, std::move(predicate), selectivity));
   const size_t store =
       plan.AddNode("store", ActivationMode::kPipelined, rel.degree(),
                    std::make_unique<StoreLogic>(temp.get()));
   DBS3_RETURN_IF_ERROR(
       plan.ConnectByColumn(filter, store, column, temp->partitioner()));
-  DBS3_ASSIGN_OR_RETURN(
-      PhaseOutcome out,
-      RunEsqlPhase(plan, CostModel{}, options.schedule, ctx));
-  if (ctx.phase_execs != nullptr) {
-    ctx.phase_execs->push_back(std::move(out.execution));
-  }
+  DBS3_ASSIGN_OR_RETURN(PhaseOutcome out,
+                        ctx.env->Run(plan, CostModel{}, options.schedule));
+  ctx.phase_execs.push_back(std::move(out.execution));
   return temp;
 }
 
@@ -280,7 +241,7 @@ std::string OriginalName(const Relation& rel) {
 
 /// Appends a pipelined filter node for `comparisons` (no-op when empty).
 Status AppendFilter(const std::vector<Comparison>& comparisons,
-                    const EsqlOptions& options, PipelineState* state) {
+                    PipelineState* state) {
   if (comparisons.empty()) return Status::OK();
   DBS3_ASSIGN_OR_RETURN(
       auto pred,
@@ -288,8 +249,7 @@ Status AppendFilter(const std::vector<Comparison>& comparisons,
   const size_t filter = state->plan.AddNode(
       "post-filter", ActivationMode::kPipelined, state->instances,
       std::make_unique<PipelinedFilterLogic>(std::move(pred.first),
-                                             pred.second,
-                                             options.vectorize));
+                                             pred.second));
   DBS3_RETURN_IF_ERROR(state->plan.ConnectSameInstance(
       static_cast<size_t>(state->tail), filter));
   state->tail = static_cast<int>(filter);
@@ -343,12 +303,12 @@ Status BuildSource(Database& db, const EsqlQuery& query,
         "scan(" + from_rel->name() + ")", ActivationMode::kTriggered,
         from_rel->degree(),
         std::make_unique<FilterLogic>(from_rel, std::move(pred.first),
-                                      pred.second, options.vectorize)));
+                                      pred.second)));
     state->instances = from_rel->degree();
     state->schema = from_rel->schema();
     state->bindings = BindingsOf(*from_rel);
     state->description = "scan(" + from_rel->name() + ")";
-    return AppendFilter(post_preds, options, state);
+    return AppendFilter(post_preds, state);
   }
 
   // Resolve the first join's sides against the two base relations.
@@ -396,8 +356,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
       state->tail = static_cast<int>(state->plan.AddNode(
           "ideal-join", ActivationMode::kTriggered, rels[0]->degree(),
           std::make_unique<TriggeredJoinLogic>(rels[0], left_col, rels[1],
-                                               right_col, options.algorithm,
-                                               options.vectorize)));
+                                               right_col, options.algorithm)));
       state->instances = rels[0]->degree();
       state->schema =
           Schema::Concat(rels[0]->schema(), rels[1]->schema());
@@ -407,7 +366,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
       }
       state->description = "IdealJoin(" + rels[0]->name() + ", " +
                            rels[1]->name() + ")";
-      return AppendFilter(post_preds, options, state);
+      return AppendFilter(post_preds, state);
     }
 
     // Orient the first join: prefer the side partitioned on its join
@@ -434,8 +393,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
         "scan(" + probe->name() + ")", ActivationMode::kTriggered,
         probe->degree(),
         std::make_unique<FilterLogic>(probe, std::move(probe_pred.first),
-                                      probe_pred.second,
-                                      options.vectorize)));
+                                      probe_pred.second)));
     state->instances = probe->degree();
     state->schema = probe->schema();
     state->bindings = BindingsOf(*probe);
@@ -533,8 +491,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
             inner, this_inner_col, this_probe_col);
       } else {
         join_logic = std::make_unique<PipelinedJoinLogic>(
-            inner, this_inner_col, this_probe_col, options.algorithm,
-            options.vectorize);
+            inner, this_inner_col, this_probe_col, options.algorithm);
       }
       const size_t join = state->plan.AddNode(
           "pipelined-join", ActivationMode::kPipelined, inner->degree(),
@@ -587,7 +544,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
   for (std::vector<Comparison>& preds : rel_preds) {
     remaining.insert(remaining.end(), preds.begin(), preds.end());
   }
-  return AppendFilter(remaining, options, state);
+  return AppendFilter(remaining, state);
 }
 
 /// Appends the aggregation stage (global or grouped).
@@ -754,7 +711,7 @@ Result<EsqlResult> ExecuteEsqlCore(Database& db, const EsqlQuery& query,
   EsqlResult out;
   DBS3_ASSIGN_OR_RETURN(
       PhaseOutcome final_phase,
-      RunEsqlPhase(state.plan, options.cost_model, options.schedule, ctx));
+      ctx.env->Run(state.plan, options.cost_model, options.schedule));
   out.schedule = std::move(final_phase.schedule);
   out.execution = std::move(final_phase.execution);
   out.result = std::move(result);
@@ -779,7 +736,7 @@ QueryResult ToQueryResult(EsqlResult esql,
 /// pre-check before MakeSharedSpec does name resolution): scan-only — no
 /// joins, aggregates, grouping or ordering — and no declared memory.
 bool ShareableShape(const EsqlQuery& query, const EsqlOptions& options) {
-  if (!options.share_work || !options.use_shared_runtime) return false;
+  if (!options.share_work) return false;
   if (options.memory_units != 0) return false;
   if (!query.joins.empty()) return false;
   if (query.group_by.has_value() || query.order_by.has_value()) return false;
@@ -826,11 +783,9 @@ Result<std::shared_ptr<const SharedScanSpec>> MakeSharedSpec(
   spec->predicate = std::move(pred.first);
   spec->selectivity = pred.second;
   spec->result_name = options.result_name;
-  spec->vectorize = options.vectorize;
   spec->schedule = options.schedule;
   spec->cost_model = options.cost_model;
-  spec->share_class =
-      ComputeShareClass(*rel, spec->projection, options.vectorize);
+  spec->share_class = ComputeShareClass(*rel, spec->projection);
   return std::shared_ptr<const SharedScanSpec>(std::move(spec));
 }
 
@@ -848,13 +803,11 @@ QueryHandle SubmitParsed(Database& db, EsqlQuery query,
   }
   spec.body = [&db, query = std::move(query),
                options](QueryEnv& env) -> Result<QueryResult> {
-    std::vector<ExecutionResult> phase_execs;
     EsqlExecContext ctx;
     ctx.env = &env;
-    ctx.phase_execs = &phase_execs;
     DBS3_ASSIGN_OR_RETURN(EsqlResult esql,
                           ExecuteEsqlCore(db, query, options, ctx));
-    return ToQueryResult(std::move(esql), std::move(phase_execs));
+    return ToQueryResult(std::move(esql), std::move(ctx.phase_execs));
   };
   return db.Submit(std::move(spec));
 }
@@ -863,15 +816,6 @@ QueryHandle SubmitParsed(Database& db, EsqlQuery query,
 
 Result<EsqlResult> ExecuteEsql(Database& db, const EsqlQuery& query,
                                const EsqlOptions& options) {
-  if (!options.use_shared_runtime) {
-    EsqlExecContext ctx;
-    ctx.cancel = InlineToken(options);
-    // Declared outside the core call so it outlives the phases' plans
-    // (operator destructors release their remaining charges into it).
-    MemoryQuota quota(options.memory_units);
-    ctx.quota = &quota;
-    return ExecuteEsqlCore(db, query, options, ctx);
-  }
   QueryHandle handle = SubmitEsql(db, query, options);
   DBS3_ASSIGN_OR_RETURN(QueryResult result, handle.Take());
   EsqlResult out;

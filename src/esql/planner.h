@@ -22,12 +22,7 @@ namespace dbs3 {
 struct EsqlOptions {
   ScheduleOptions schedule;
   CostModel cost_model;
-  JoinAlgorithm algorithm = JoinAlgorithm::kHash;
-  /// Run the vectorized batch kernels where the planner can lower WHERE
-  /// conjuncts to the typed predicate IR and activations carry enough
-  /// tuples. Off = always the per-row loops; results are identical either
-  /// way (chunk_size=1 executions take the row path automatically).
-  bool vectorize = true;
+  JoinAlgorithm algorithm = JoinAlgorithm::kTempIndex;
   std::string result_name = "esql_result";
 
   /// Multi-user knobs, forwarded to the runtime's QuerySpec (see
@@ -36,17 +31,13 @@ struct EsqlOptions {
   uint64_t memory_units = 0;
   std::optional<std::chrono::steady_clock::time_point> deadline;
   std::optional<CancelToken> cancel;
-  /// Run every phase (repartition materializations and the final
-  /// pipeline) through the database's shared QueryRuntime. false = legacy
-  /// inline execution with private per-operation threads.
-  bool use_shared_runtime = true;
   /// Allow the runtime to fold this query into a multi-query shared scan
   /// with compatible queries (same relation, same projection shape,
   /// scan-only, no declared memory). One relation pass then serves the
   /// whole batch; per-query results are identical to solo execution. The
   /// batch forms only when compatible queries are simultaneously queued
   /// (see QueryRuntimeOptions::shared_batch_window_us to also wait for
-  /// stragglers). Only meaningful with use_shared_runtime.
+  /// stragglers).
   bool share_work = true;
 };
 
@@ -65,7 +56,8 @@ struct EsqlResult {
   size_t phases = 1;
 };
 
-/// Compiles and executes `query` against `db`.
+/// Compiles and executes `query` against `db` on the database's shared
+/// runtime: SubmitEsql + Take.
 ///
 /// Physical planning follows the paper's repertoire: a join between
 /// co-partitioned relations becomes an IdealJoin (Figure 10); a join where
@@ -86,8 +78,7 @@ Result<EsqlResult> ExecuteEsql(Database& db, const EsqlQuery& query,
 /// returns a handle immediately. Parse errors, like planning errors,
 /// surface through the handle. The QueryResult's `detail` carries the
 /// physical-plan rendering and `phases` the intermediate (repartition)
-/// executions. ExecuteEsql above is Submit + Take when
-/// options.use_shared_runtime (the default).
+/// executions.
 QueryHandle SubmitEsql(Database& db, const std::string& query,
                        const EsqlOptions& options = {});
 

@@ -64,7 +64,7 @@ Result<SharedBatchPlan> BuildSharedBatchPlan(
   const size_t scan = out.plan.AddNode(
       "shared-scan(" + rel->name() + ")", ActivationMode::kTriggered, degree,
       std::make_unique<SharedScanLogic>(rel, std::move(members),
-                                        lead->vectorize, out.ledger.get()));
+                                        out.ledger.get()));
   const size_t route = out.plan.AddNode(
       "shared-router", ActivationMode::kPipelined, degree,
       std::make_unique<SharedResultRouterLogic>(std::move(router_sinks),

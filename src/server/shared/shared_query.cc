@@ -5,8 +5,7 @@
 namespace dbs3 {
 
 uint64_t ComputeShareClass(const Relation& relation,
-                           const std::vector<size_t>& projection,
-                           bool vectorize) {
+                           const std::vector<size_t>& projection) {
   // FNV-style mixing over the compatibility-relevant shape. The relation's
   // address pins the exact object (two relations with the same name in
   // different databases must not batch together); the name guards against
@@ -20,7 +19,6 @@ uint64_t ComputeShareClass(const Relation& relation,
   mix(std::hash<std::string>()(relation.name()));
   mix(projection.size());
   for (size_t c : projection) mix(c);
-  mix(vectorize ? 1 : 2);
   return h == 0 ? 1 : h;
 }
 

@@ -23,9 +23,9 @@ namespace dbs3 {
 /// carries the same nonzero `share_class` may execute as one plan.
 ///
 /// Compatibility contract: two specs with equal share_class scan the same
-/// Relation object with the same projection shape and the same vectorize
-/// setting. Predicates, result names, deadlines and cancel tokens are
-/// per-member — differing predicates are the point of sharing the pass.
+/// Relation object with the same projection shape. Predicates, result
+/// names, deadlines and cancel tokens are per-member — differing predicates
+/// are the point of sharing the pass.
 struct SharedScanSpec {
   /// The relation the shared pass scans. Must outlive execution (catalog
   /// relations do; the planner only marks catalog scans shareable).
@@ -42,8 +42,6 @@ struct SharedScanSpec {
   Schema result_schema;
   /// Name of the member's materialized result.
   std::string result_name = "esql_result";
-  /// Run the batched predicate kernels over each ColumnBatch tile.
-  bool vectorize = true;
   /// Scheduling knobs of the member; the batch runs under the lead
   /// member's schedule and cost model.
   ScheduleOptions schedule;
@@ -52,12 +50,11 @@ struct SharedScanSpec {
   uint64_t share_class = 0;
 };
 
-/// The grouping key for `relation` scans with this projection/vectorize
-/// shape. Stable within a process (hashes the relation's identity), always
+/// The grouping key for `relation` scans with this projection shape.
+/// Stable within a process (hashes the relation's identity), always
 /// nonzero.
 uint64_t ComputeShareClass(const Relation& relation,
-                           const std::vector<size_t>& projection,
-                           bool vectorize);
+                           const std::vector<size_t>& projection);
 
 }  // namespace dbs3
 

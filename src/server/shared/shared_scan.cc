@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "engine/vector/column_batch.h"
+#include "engine/vector/kernels.h"
 #include "engine/vector/pred.h"
 
 namespace dbs3 {
@@ -14,10 +15,6 @@ namespace {
 /// one ColumnBatch is built per tile and reused for every member's
 /// predicate — the shared-work win over N independent scans.
 constexpr size_t kSharedScanTile = 1024;
-
-/// Below this, building the column views costs more than it saves (same
-/// threshold as the single-query kernels).
-constexpr size_t kSharedMinBatchRows = 4;
 
 }  // namespace
 
@@ -40,11 +37,8 @@ Status SharedBatchLedger::Audit() const {
 
 SharedScanLogic::SharedScanLogic(const Relation* input,
                                  std::vector<SharedScanMember> members,
-                                 bool vectorize, SharedBatchLedger* ledger)
-    : input_(input),
-      members_(std::move(members)),
-      vectorize_(vectorize),
-      ledger_(ledger) {}
+                                 SharedBatchLedger* ledger)
+    : input_(input), members_(std::move(members)), ledger_(ledger) {}
 
 Status SharedScanLogic::Prepare(size_t num_instances) {
   if (num_instances > input_->degree()) {
@@ -100,7 +94,7 @@ void SharedScanLogic::OnTrigger(size_t instance, Emitter* out) {
       size_t kept = 0;
       if (member.predicate.expr.has_value()) {
         const PredExpr& expr = *member.predicate.expr;
-        if (vectorize_ && count >= kSharedMinBatchRows) {
+        if (count >= kMinBatchRows) {
           kept = EvalPredAll(expr, batch, sel);
         } else {
           for (size_t i = 0; i < count; ++i) {
@@ -188,13 +182,6 @@ void SharedResultRouterLogic::RouteOne(size_t instance, const Tuple& tuple) {
   stored.AssignSelect(tuple, sink.columns);
   sink.result->AppendToFragment(instance, std::move(stored));
   ledger_->CountRouted(member, 1);
-}
-
-void SharedResultRouterLogic::OnData(size_t instance, Tuple tuple,
-                                     Emitter* out) {
-  (void)out;
-  MutexLock lock(fragment_mu_[instance].get());
-  RouteOne(instance, tuple);
 }
 
 void SharedResultRouterLogic::OnDataBatch(size_t instance,

@@ -95,7 +95,7 @@ class SharedScanLogic : public OperatorLogic {
  public:
   /// `input` and `ledger` must outlive the execution.
   SharedScanLogic(const Relation* input, std::vector<SharedScanMember> members,
-                  bool vectorize, SharedBatchLedger* ledger);
+                  SharedBatchLedger* ledger);
 
   Status Prepare(size_t num_instances) override;
   void OnTrigger(size_t instance, Emitter* out) override;
@@ -112,7 +112,6 @@ class SharedScanLogic : public OperatorLogic {
 
   const Relation* input_;
   std::vector<SharedScanMember> members_;
-  bool vectorize_;
   SharedBatchLedger* ledger_;
   /// Prebuilt one-column [member_id] tag rows, so tagging is an EmitConcat
   /// into a recycled chunk slot — no per-tuple tag construction.
@@ -145,8 +144,7 @@ class SharedResultRouterLogic : public OperatorLogic {
                           SharedBatchLedger* ledger);
 
   Status Prepare(size_t num_instances) override;
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
-  /// Chunked routing: takes the fragment lock once per activation.
+  /// Takes the fragment lock once per activation.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
   std::string name() const override { return "shared-router"; }

@@ -31,14 +31,20 @@ class CapturingEmitter : public Emitter {
 
 Tuple Row(int64_t a, int64_t b) { return Tuple({Value(a), Value(b)}); }
 
+/// Delivers `tuple` as a one-tuple data activation (chunk_size=1).
+void Deliver(OperatorLogic& logic, size_t instance, Tuple tuple,
+             Emitter* out) {
+  logic.OnDataBatch(instance, std::span<Tuple>(&tuple, 1), out);
+}
+
 TEST(GroupByLogicTest, CountSumMinMax) {
   GroupByLogic group(
       0, {{AggKind::kCount, 0}, {AggKind::kSum, 1}, {AggKind::kMin, 1},
           {AggKind::kMax, 1}});
   ASSERT_TRUE(group.Prepare(1).ok());
-  group.OnData(0, Row(1, 10), nullptr);
-  group.OnData(0, Row(1, 30), nullptr);
-  group.OnData(0, Row(2, -5), nullptr);
+  Deliver(group, 0, Row(1, 10), nullptr);
+  Deliver(group, 0, Row(1, 30), nullptr);
+  Deliver(group, 0, Row(2, -5), nullptr);
   CapturingEmitter out;
   group.OnFinish(0, &out);
   auto rows = out.take();
@@ -60,8 +66,8 @@ TEST(GroupByLogicTest, CountSumMinMax) {
 TEST(GroupByLogicTest, InstancesIsolated) {
   GroupByLogic group(0, {{AggKind::kCount, 0}});
   ASSERT_TRUE(group.Prepare(2).ok());
-  group.OnData(0, Row(7, 0), nullptr);
-  group.OnData(1, Row(7, 0), nullptr);
+  Deliver(group, 0, Row(7, 0), nullptr);
+  Deliver(group, 1, Row(7, 0), nullptr);
   CapturingEmitter out;
   group.OnFinish(0, &out);
   group.OnFinish(1, &out);
@@ -74,7 +80,7 @@ TEST(GroupByLogicTest, InstancesIsolated) {
 TEST(GroupByLogicTest, FinishTwiceEmitsNothingSecondTime) {
   GroupByLogic group(0, {{AggKind::kCount, 0}});
   ASSERT_TRUE(group.Prepare(1).ok());
-  group.OnData(0, Row(1, 1), nullptr);
+  Deliver(group, 0, Row(1, 1), nullptr);
   CapturingEmitter out;
   group.OnFinish(0, &out);
   EXPECT_EQ(out.take().size(), 1u);
@@ -89,10 +95,10 @@ TEST(GroupByLogicTest, MinMaxOverStringOnlyColumnEmitsSentinelNotZero) {
   GroupByLogic group(
       0, {{AggKind::kMin, 1}, {AggKind::kMax, 1}, {AggKind::kSum, 1}});
   ASSERT_TRUE(group.Prepare(1).ok());
-  group.OnData(0, Tuple({Value(int64_t{1}), Value(std::string("x"))}),
-               nullptr);
-  group.OnData(0, Tuple({Value(int64_t{1}), Value(std::string("y"))}),
-               nullptr);
+  Deliver(group, 0, Tuple({Value(int64_t{1}), Value(std::string("x"))}),
+          nullptr);
+  Deliver(group, 0, Tuple({Value(int64_t{1}), Value(std::string("y"))}),
+          nullptr);
   CapturingEmitter out;
   group.OnFinish(0, &out);
   auto rows = out.take();
@@ -108,10 +114,10 @@ TEST(GroupByLogicTest, MinMaxIgnoreStringCellsWhenIntsExist) {
   // alone (previously a leading string cell left min/max pinned at 0).
   GroupByLogic group(0, {{AggKind::kMin, 1}, {AggKind::kMax, 1}});
   ASSERT_TRUE(group.Prepare(1).ok());
-  group.OnData(0, Tuple({Value(int64_t{1}), Value(std::string("noise"))}),
-               nullptr);
-  group.OnData(0, Tuple({Value(int64_t{1}), Value(int64_t{42})}), nullptr);
-  group.OnData(0, Tuple({Value(int64_t{1}), Value(int64_t{17})}), nullptr);
+  Deliver(group, 0, Tuple({Value(int64_t{1}), Value(std::string("noise"))}),
+          nullptr);
+  Deliver(group, 0, Tuple({Value(int64_t{1}), Value(int64_t{42})}), nullptr);
+  Deliver(group, 0, Tuple({Value(int64_t{1}), Value(int64_t{17})}), nullptr);
   CapturingEmitter out;
   group.OnFinish(0, &out);
   auto rows = out.take();
@@ -127,9 +133,9 @@ TEST(SortLogicTest, OverBudgetFailsWithResourceExhausted) {
   resources.quota = &quota;
   sort.BindExecution(resources);
   ASSERT_TRUE(sort.Prepare(1).ok());
-  sort.OnData(0, Row(3, 0), nullptr);
-  sort.OnData(0, Row(1, 1), nullptr);
-  sort.OnData(0, Row(2, 2), nullptr);  // Third row: over budget.
+  Deliver(sort, 0, Row(3, 0), nullptr);
+  Deliver(sort, 0, Row(1, 1), nullptr);
+  Deliver(sort, 0, Row(2, 2), nullptr);  // Third row: over budget.
   EXPECT_EQ(sort.error().code(), StatusCode::kResourceExhausted);
   CapturingEmitter out;
   sort.OnFinish(0, &out);
@@ -140,12 +146,12 @@ TEST(SortLogicTest, OverBudgetFailsWithResourceExhausted) {
 TEST(GroupByLogicTest, StringGroupKeys) {
   GroupByLogic group(0, {{AggKind::kSum, 1}});
   ASSERT_TRUE(group.Prepare(1).ok());
-  group.OnData(0, Tuple({Value(std::string("paris")), Value(int64_t{2})}),
-               nullptr);
-  group.OnData(0, Tuple({Value(std::string("paris")), Value(int64_t{3})}),
-               nullptr);
-  group.OnData(0, Tuple({Value(std::string("lyon")), Value(int64_t{1})}),
-               nullptr);
+  Deliver(group, 0, Tuple({Value(std::string("paris")), Value(int64_t{2})}),
+          nullptr);
+  Deliver(group, 0, Tuple({Value(std::string("paris")), Value(int64_t{3})}),
+          nullptr);
+  Deliver(group, 0, Tuple({Value(std::string("lyon")), Value(int64_t{1})}),
+          nullptr);
   CapturingEmitter out;
   group.OnFinish(0, &out);
   auto rows = out.take();
@@ -161,9 +167,9 @@ TEST(SortLogicTest, AscendingAndDescending) {
   for (SortOrder order : {SortOrder::kAscending, SortOrder::kDescending}) {
     SortLogic sort(0, order);
     ASSERT_TRUE(sort.Prepare(1).ok());
-    sort.OnData(0, Row(3, 0), nullptr);
-    sort.OnData(0, Row(1, 1), nullptr);
-    sort.OnData(0, Row(2, 2), nullptr);
+    Deliver(sort, 0, Row(3, 0), nullptr);
+    Deliver(sort, 0, Row(1, 1), nullptr);
+    Deliver(sort, 0, Row(2, 2), nullptr);
     CapturingEmitter out;
     sort.OnFinish(0, &out);
     auto rows = out.take();
@@ -181,8 +187,8 @@ TEST(SortLogicTest, AscendingAndDescending) {
 TEST(SortLogicTest, StableOnEqualKeys) {
   SortLogic sort(0, SortOrder::kAscending);
   ASSERT_TRUE(sort.Prepare(1).ok());
-  sort.OnData(0, Row(1, 100), nullptr);
-  sort.OnData(0, Row(1, 200), nullptr);
+  Deliver(sort, 0, Row(1, 100), nullptr);
+  Deliver(sort, 0, Row(1, 200), nullptr);
   CapturingEmitter out;
   sort.OnFinish(0, &out);
   auto rows = out.take();
@@ -205,9 +211,9 @@ TEST(SemiJoinTest, EmitsProbeOnMatch) {
   PipelinedSemiJoinLogic semi(inner.get(), 0, 0, /*anti=*/false);
   ASSERT_TRUE(semi.Prepare(2).ok());
   CapturingEmitter out;
-  semi.OnData(0, Row(2, 99), &out);   // 2 is in fragment 0.
-  semi.OnData(0, Row(6, 99), &out);   // 6 is not.
-  semi.OnData(1, Row(1, 99), &out);   // 1 is in fragment 1.
+  Deliver(semi, 0, Row(2, 99), &out);   // 2 is in fragment 0.
+  Deliver(semi, 0, Row(6, 99), &out);   // 6 is not.
+  Deliver(semi, 1, Row(1, 99), &out);   // 1 is in fragment 1.
   auto rows = out.take();
   ASSERT_EQ(rows.size(), 2u);
   // Probe tuples pass through unchanged (no inner columns).
@@ -222,8 +228,8 @@ TEST(SemiJoinTest, AntiJoinInverts) {
   ASSERT_TRUE(anti.Prepare(2).ok());
   EXPECT_EQ(anti.name(), "anti-join");
   CapturingEmitter out;
-  anti.OnData(0, Row(2, 0), &out);  // Match -> suppressed.
-  anti.OnData(0, Row(6, 0), &out);  // No match -> emitted.
+  Deliver(anti, 0, Row(2, 0), &out);  // Match -> suppressed.
+  Deliver(anti, 0, Row(6, 0), &out);  // No match -> emitted.
   auto rows = out.take();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].second.at(0).AsInt(), 6);

@@ -168,11 +168,10 @@ TEST(QueryTest, AllJoinAlgorithmsAgree) {
   QueryOptions options;
   options.schedule.total_threads = 3;
   options.schedule.processors = 4;
-  uint64_t cardinality[3];
+  uint64_t cardinality[2];
   int i = 0;
   for (JoinAlgorithm algo :
-       {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash,
-        JoinAlgorithm::kTempIndex}) {
+       {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kTempIndex}) {
     options.algorithm = algo;
     auto r = RunIdealJoin(db, "A", "key", "B", "key", options);
     ASSERT_TRUE(r.ok()) << JoinAlgorithmName(algo);
@@ -180,7 +179,6 @@ TEST(QueryTest, AllJoinAlgorithmsAgree) {
   }
   EXPECT_EQ(cardinality[0], 3'000u);
   EXPECT_EQ(cardinality[0], cardinality[1]);
-  EXPECT_EQ(cardinality[1], cardinality[2]);
 }
 
 }  // namespace

@@ -114,7 +114,6 @@ TEST(MetricsSamplerTest, StartStopAreIdempotent) {
   sampler.Stop();  // Stop before start: no-op.
   sampler.Start();
   sampler.Start();  // Second start: no second thread.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
   sampler.Stop();
   sampler.Stop();
   const uint64_t samples = registry.Snapshot().series.at("p").samples;

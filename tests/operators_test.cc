@@ -28,6 +28,12 @@ class CapturingEmitter : public Emitter {
   std::vector<std::pair<size_t, Tuple>> emitted_;
 };
 
+/// Delivers `tuple` as a one-tuple data activation (chunk_size=1).
+void Deliver(OperatorLogic& logic, size_t instance, Tuple tuple,
+             Emitter* out) {
+  logic.OnDataBatch(instance, std::span<Tuple>(&tuple, 1), out);
+}
+
 std::unique_ptr<Relation> KeyedRelation(size_t degree,
                                         std::vector<int64_t> keys) {
   auto r = std::make_unique<Relation>(
@@ -105,7 +111,6 @@ TEST_P(TriggeredJoinAlgoTest, JoinsCoPartitionedFragments) {
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, TriggeredJoinAlgoTest,
                          ::testing::Values(JoinAlgorithm::kNestedLoop,
-                                           JoinAlgorithm::kHash,
                                            JoinAlgorithm::kTempIndex));
 
 TEST(TriggeredJoinTest, RejectsMismatchedDegrees) {
@@ -135,7 +140,7 @@ TEST_P(PipelinedJoinAlgoTest, ProbesAgainstInstanceFragment) {
   ASSERT_TRUE(join.Prepare(2).ok());
   CapturingEmitter out;
   // Probe with key 2 at instance 0 (2 % 2 == 0): matches the two 2s.
-  join.OnData(0, Tuple({Value(int64_t{2}), Value(int64_t{77})}), &out);
+  Deliver(join, 0, Tuple({Value(int64_t{2}), Value(int64_t{77})}), &out);
   auto emitted = out.take();
   ASSERT_EQ(emitted.size(), 2u);
   for (const auto& [inst, tuple] : emitted) {
@@ -144,13 +149,12 @@ TEST_P(PipelinedJoinAlgoTest, ProbesAgainstInstanceFragment) {
     EXPECT_EQ(tuple.at(2).AsInt(), 2);      // Inner key appended.
   }
   // A probe with no match at instance 1.
-  join.OnData(1, Tuple({Value(int64_t{9}), Value(int64_t{0})}), &out);
+  Deliver(join, 1, Tuple({Value(int64_t{9}), Value(int64_t{0})}), &out);
   EXPECT_TRUE(out.take().empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, PipelinedJoinAlgoTest,
                          ::testing::Values(JoinAlgorithm::kNestedLoop,
-                                           JoinAlgorithm::kHash,
                                            JoinAlgorithm::kTempIndex));
 
 TEST(StoreLogicTest, AppendsToInstanceFragment) {
@@ -158,9 +162,9 @@ TEST(StoreLogicTest, AppendsToInstanceFragment) {
                   Partitioner(PartitionKind::kModulo, 3));
   StoreLogic store(&result);
   ASSERT_TRUE(store.Prepare(3).ok());
-  store.OnData(1, Tuple({Value(int64_t{4}), Value(int64_t{0})}), nullptr);
-  store.OnData(1, Tuple({Value(int64_t{7}), Value(int64_t{0})}), nullptr);
-  store.OnData(2, Tuple({Value(int64_t{5}), Value(int64_t{0})}), nullptr);
+  Deliver(store, 1, Tuple({Value(int64_t{4}), Value(int64_t{0})}), nullptr);
+  Deliver(store, 1, Tuple({Value(int64_t{7}), Value(int64_t{0})}), nullptr);
+  Deliver(store, 2, Tuple({Value(int64_t{5}), Value(int64_t{0})}), nullptr);
   EXPECT_EQ(result.fragment(0).cardinality(), 0u);
   EXPECT_EQ(result.fragment(1).cardinality(), 2u);
   EXPECT_EQ(result.fragment(2).cardinality(), 1u);
@@ -172,7 +176,7 @@ TEST(MapLogicTest, TransformsAndForwards) {
     return t;
   });
   CapturingEmitter out;
-  map.OnData(3, Tuple({Value(int64_t{4})}), &out);
+  Deliver(map, 3, Tuple({Value(int64_t{4})}), &out);
   auto emitted = out.take();
   ASSERT_EQ(emitted.size(), 1u);
   EXPECT_EQ(emitted[0].first, 3u);
@@ -181,15 +185,15 @@ TEST(MapLogicTest, TransformsAndForwards) {
 
 TEST(AggregateLogicTest, CountsAndSums) {
   AggregateLogic agg(/*sum_column=*/1);
-  agg.OnData(0, Tuple({Value(int64_t{1}), Value(int64_t{10})}), nullptr);
-  agg.OnData(1, Tuple({Value(int64_t{2}), Value(int64_t{-3})}), nullptr);
+  Deliver(agg, 0, Tuple({Value(int64_t{1}), Value(int64_t{10})}), nullptr);
+  Deliver(agg, 1, Tuple({Value(int64_t{2}), Value(int64_t{-3})}), nullptr);
   EXPECT_EQ(agg.count(), 2u);
   EXPECT_EQ(agg.sum(), 7);
 }
 
 TEST(AggregateLogicTest, CountOnly) {
   AggregateLogic agg;
-  agg.OnData(0, Tuple({Value(int64_t{1})}), nullptr);
+  Deliver(agg, 0, Tuple({Value(int64_t{1})}), nullptr);
   EXPECT_EQ(agg.count(), 1u);
   EXPECT_EQ(agg.sum(), 0);
 }
@@ -240,7 +244,6 @@ TEST(EstimateTest, StoreLinearInInput) {
 
 TEST(JoinAlgorithmTest, Names) {
   EXPECT_STREQ(JoinAlgorithmName(JoinAlgorithm::kNestedLoop), "nested-loop");
-  EXPECT_STREQ(JoinAlgorithmName(JoinAlgorithm::kHash), "hash");
   EXPECT_STREQ(JoinAlgorithmName(JoinAlgorithm::kTempIndex), "temp-index");
 }
 

@@ -166,7 +166,8 @@ TEST(BushyPlanTest, TwoChainsIntoPipelinedJoin) {
           b, [](const Tuple& t) { return t.at(1).AsInt() % 2 != 0; }, 0.5));
   const size_t join = plan.AddNode(
       "join", ActivationMode::kPipelined, 10,
-      std::make_unique<PipelinedJoinLogic>(a, 0, 0, JoinAlgorithm::kHash));
+      std::make_unique<PipelinedJoinLogic>(a, 0, 0,
+                                           JoinAlgorithm::kTempIndex));
   const size_t store =
       plan.AddNode("store", ActivationMode::kPipelined, 10,
                    std::make_unique<StoreLogic>(&result));

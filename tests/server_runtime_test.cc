@@ -457,7 +457,7 @@ TEST(DatabaseSubmitTest, CancelMidPipelineDrainsAndReportsPartialWork) {
   EXPECT_GT(snap.counters["engine.units_cancelled"], 0u);
 }
 
-TEST(DatabaseSubmitTest, DirectPathBypassesTheRuntime) {
+TEST(DatabaseSubmitTest, RunHonorsPreCancelledToken) {
   Database db(2);
   WisconsinOptions opt;
   opt.cardinality = 500;
@@ -466,24 +466,6 @@ TEST(DatabaseSubmitTest, DirectPathBypassesTheRuntime) {
   QueryOptions options;
   options.schedule.total_threads = 2;
   options.schedule.processors = 2;
-  options.use_shared_runtime = false;
-  auto r = RunSelect(db, "t", MatchAll(), 1.0, options);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  MetricsSnapshot snap = db.metrics().Snapshot();
-  EXPECT_EQ(snap.counters["runtime.queries_submitted"], 0u);
-  EXPECT_EQ(snap.counters["engine.queries"], 1u);
-}
-
-TEST(DatabaseSubmitTest, DirectPathHonorsPreCancelledToken) {
-  Database db(2);
-  WisconsinOptions opt;
-  opt.cardinality = 500;
-  opt.degree = 4;
-  ASSERT_TRUE(db.CreateWisconsin("t", opt).ok());
-  QueryOptions options;
-  options.schedule.total_threads = 2;
-  options.schedule.processors = 2;
-  options.use_shared_runtime = false;
   CancelToken token;
   token.Cancel();
   options.cancel = token;
@@ -624,7 +606,6 @@ TEST(SharedScanTest, CancellingOneMemberMidBatchLeavesTheOthersIntact) {
     shared->relation = rel;
     shared->predicate = std::move(predicate);
     shared->result_schema = rel->schema();
-    shared->vectorize = false;
     shared->share_class = 42;  // Hand-assigned: the two are compatible.
     QuerySpec spec;
     spec.shared = std::move(shared);

@@ -49,6 +49,12 @@ class CapturingEmitter : public Emitter {
   std::vector<Tuple> emitted_;
 };
 
+/// Delivers `tuple` as a one-tuple data activation (chunk_size=1).
+void Deliver(OperatorLogic& logic, size_t instance, Tuple tuple,
+             Emitter* out) {
+  logic.OnDataBatch(instance, std::span<Tuple>(&tuple, 1), out);
+}
+
 /// Degree-1 build relation with rows (key, 1000 + i).
 std::unique_ptr<Relation> MakeInner(const std::vector<int64_t>& keys) {
   auto rel = std::make_unique<Relation>(
@@ -84,7 +90,7 @@ std::vector<Tuple> RunJoin(OperatorLogic& logic,
   logic.BindExecution(resources);
   EXPECT_TRUE(logic.Prepare(1).ok());
   CapturingEmitter out;
-  for (const Tuple& p : probes) logic.OnData(0, Tuple(p), &out);
+  for (const Tuple& p : probes) Deliver(logic, 0, Tuple(p), &out);
   logic.OnFinish(0, &out);
   EXPECT_TRUE(logic.error().ok()) << logic.error().ToString();
   return out.take_sorted();
@@ -96,7 +102,7 @@ class SpillJoinDifferentialTest : public ::testing::Test {
   /// when no budget is declared).
   std::vector<Tuple> Reference(const Relation* inner,
                                const std::vector<Tuple>& probes) {
-    PipelinedJoinLogic reference(inner, 0, 0, JoinAlgorithm::kHash);
+    PipelinedJoinLogic reference(inner, 0, 0, JoinAlgorithm::kTempIndex);
     return RunJoin(reference, probes, nullptr);
   }
 };
@@ -239,7 +245,7 @@ TEST_F(SpillJoinDifferentialTest,
     ASSERT_TRUE(join.Prepare(1).ok());
     CapturingEmitter out;
     // Build happens on first data; deferred probes open probe files.
-    for (const Tuple& p : probes) join.OnData(0, Tuple(p), &out);
+    for (const Tuple& p : probes) Deliver(join, 0, Tuple(p), &out);
     EXPECT_GT(SpillFile::live_files(), live_before);  // Mid-spill state.
     EXPECT_GT(quota.used(), 0u);
     // No OnFinish: the dtor is the cancel path.
@@ -261,7 +267,7 @@ std::vector<Tuple> RunGroupBy(const std::vector<AggSpec>& aggs,
   group.BindExecution(resources);
   EXPECT_TRUE(group.Prepare(1).ok());
   CapturingEmitter out;
-  for (const Tuple& r : rows) group.OnData(0, Tuple(r), &out);
+  for (const Tuple& r : rows) Deliver(group, 0, Tuple(r), &out);
   group.OnFinish(0, &out);
   EXPECT_TRUE(group.error().ok()) << group.error().ToString();
   return out.take_sorted();
@@ -330,7 +336,7 @@ TEST(GroupBySpillTest, TeardownWithoutFinishReleasesQuotaAndFiles) {
     group.BindExecution(resources);
     ASSERT_TRUE(group.Prepare(1).ok());
     for (int64_t i = 0; i < 200; ++i) {
-      group.OnData(0, Tuple({Value(i % 40), Value(i)}), nullptr);
+      Deliver(group, 0, Tuple({Value(i % 40), Value(i)}), nullptr);
     }
     EXPECT_GT(SpillFile::live_files(), live_before);
     EXPECT_GT(quota.used(), 0u);
