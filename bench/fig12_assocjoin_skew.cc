@@ -106,6 +106,7 @@ void RunEngineTraced() {
     QueryOptions options;
     options.schedule.total_threads = 4;
     options.schedule.processors = 4;
+    options.schedule.chunk_size = 1;  // Per-tuple, as the paper measured.
     options.schedule.trace.enabled = true;
     if (z == 1) options.schedule.trace.path = "BENCH_fig12_trace.json";
     // A (skewed) is the transmitted probe, B' the partitioned inner — the
@@ -125,6 +126,7 @@ void RunEngineTraced() {
   QueryOptions options;
   options.schedule.total_threads = 4;
   options.schedule.processors = 4;
+  options.schedule.chunk_size = 1;
   options.schedule.force_strategy = Strategy::kRandom;
   options.schedule.trace.enabled = true;
   QueryResult r = UnwrapOrDie(RunIdealJoin(db, "A1", "key", "B1", "key",

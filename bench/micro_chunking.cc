@@ -3,7 +3,10 @@
 // Figure 11) at chunk_size in {1, 4, 16, 64, 256} and reports wall-clock,
 // queue-mutex contention, and tuples per activation. chunk_size = 1 is the
 // paper-faithful per-tuple mode; larger chunks amortize the producer-side
-// queue round-trip. Emits BENCH_chunking.json next to the aligned rows.
+// queue round-trip. A last "derived" row runs chunk_size = 0, the grain the
+// scheduler picks per node (step 5), and reports the chunks it chose
+// (report only, no gate). Emits BENCH_chunking.json next to the aligned
+// rows.
 
 #include <algorithm>
 #include <cstdio>
@@ -26,7 +29,20 @@ struct ChunkPoint {
   uint64_t queue_acquisitions = 0; // Summed over all reps and operations.
   uint64_t queue_contended = 0;
   double tuples_per_activation = 0.0;
+  /// Per-node chunk sizes the schedule wrote into the plan (transmit,
+  /// join, store): the pinned value, or the derived grain at chunk_size 0.
+  std::vector<size_t> scheduled_chunks;
 };
+
+/// One scheduled chunk size per plan node, joined by `sep` ("32/32/1").
+std::string ChunkList(const ChunkPoint& p, const char* sep) {
+  std::string out;
+  for (size_t c : p.scheduled_chunks) {
+    if (!out.empty()) out += sep;
+    out += std::to_string(c);
+  }
+  return out;
+}
 
 constexpr int kReps = 5;
 
@@ -52,6 +68,7 @@ ChunkPoint MeasureChunk(Database& db, size_t chunk_size) {
       }
     }
     point.wall_seconds = std::min(point.wall_seconds, r.execution.seconds);
+    point.scheduled_chunks = r.schedule.chunk_sizes;
     for (const OperationStats& op : r.execution.op_stats) {
       point.queue_acquisitions += op.queue_acquisitions;
       point.queue_contended += op.queue_contended;
@@ -89,13 +106,14 @@ void WriteJson(const std::vector<ChunkPoint>& points, const char* path) {
   for (size_t i = 0; i < points.size(); ++i) {
     const ChunkPoint& p = points[i];
     std::fprintf(f,
-                 "    {\"chunk_size\": %zu, \"wall_seconds\": %.6f, "
+                 "    {\"chunk_size\": %zu, \"scheduled_chunks\": [%s], "
+                 "\"wall_seconds\": %.6f, "
                  "\"busy_seconds\": %.6f, \"wall_span_seconds\": %.6f, "
                  "\"queue_acquisitions\": %llu, \"queue_contended\": %llu, "
                  "\"contention_ratio\": %.6f, \"tuples_per_activation\": "
                  "%.2f}%s\n",
-                 p.chunk_size, p.wall_seconds, p.busy_seconds,
-                 p.span_seconds,
+                 p.chunk_size, ChunkList(p, ", ").c_str(), p.wall_seconds,
+                 p.busy_seconds, p.span_seconds,
                  static_cast<unsigned long long>(p.queue_acquisitions),
                  static_cast<unsigned long long>(p.queue_contended),
                  ContentionRatio(p), p.tuples_per_activation,
@@ -118,15 +136,17 @@ int Main() {
   CheckOk(db.CreateSkewedPair(spec, "A", "B"), "CreateSkewedPair");
 
   std::vector<ChunkPoint> points;
-  std::printf("%-12s %-10s %-10s %-10s %-14s %-12s %-12s %s\n",
-              "chunk_size", "wall_ms", "busy_ms", "span_ms", "acquisitions",
-              "contended", "cont_ratio", "tuples/activation");
-  for (size_t chunk : {1ul, 4ul, 16ul, 64ul, 256ul}) {
+  std::printf("%-12s %-12s %-10s %-10s %-10s %-14s %-12s %-12s %s\n",
+              "chunk_size", "scheduled", "wall_ms", "busy_ms", "span_ms",
+              "acquisitions", "contended", "cont_ratio", "tuples/activation");
+  // 0 last: the scheduler-derived grain, reported next to the pinned rows.
+  for (size_t chunk : {1ul, 4ul, 16ul, 64ul, 256ul, 0ul}) {
     const ChunkPoint p = MeasureChunk(db, chunk);
-    std::printf("%-12zu %-10.2f %-10.2f %-10.2f %-14llu %-12llu %-12.6f "
-                "%.1f\n",
-                p.chunk_size, p.wall_seconds * 1e3, p.busy_seconds * 1e3,
-                p.span_seconds * 1e3,
+    std::printf("%-12s %-12s %-10.2f %-10.2f %-10.2f %-14llu %-12llu "
+                "%-12.6f %.1f\n",
+                chunk == 0 ? "derived" : std::to_string(chunk).c_str(),
+                ChunkList(p, "/").c_str(), p.wall_seconds * 1e3,
+                p.busy_seconds * 1e3, p.span_seconds * 1e3,
                 static_cast<unsigned long long>(p.queue_acquisitions),
                 static_cast<unsigned long long>(p.queue_contended),
                 ContentionRatio(p), p.tuples_per_activation);

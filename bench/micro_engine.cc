@@ -21,7 +21,8 @@ void BM_QueuePushPop(benchmark::State& state) {
   out.reserve(batch);
   for (auto _ : state) {
     for (size_t i = 0; i < batch; ++i) {
-      queue.Push(Activation::Data(Tuple({Value(int64_t{1})})));
+      queue.Push(
+          Activation::DataChunk(TupleChunk{Tuple({Value(int64_t{1})})}));
     }
     out.clear();
     benchmark::DoNotOptimize(queue.PopBatch(batch, &out));

@@ -20,9 +20,10 @@ using TupleChunk = std::vector<Tuple>;
 ///
 /// A *control activation* (trigger) starts a triggered operation instance,
 /// which then processes its whole fragment. A *data activation* conveys a
-/// chunk of tuples to a pipelined operation instance (one tuple in the
-/// paper-faithful chunk_size=1 mode). Either way, one activation is executed
-/// by exactly one thread, sequentially.
+/// chunk of tuples to a pipelined operation instance: as many as the
+/// scheduler's derived grain (sched/scheduler.h, step 5), or one tuple in
+/// the paper-faithful chunk_size=1 mode. Either way, one activation is
+/// executed by exactly one thread, sequentially.
 struct Activation {
   enum class Kind : uint8_t { kTrigger, kData };
 
@@ -31,14 +32,6 @@ struct Activation {
   TupleChunk tuples;
 
   static Activation Trigger() { return Activation{Kind::kTrigger, {}}; }
-  static Activation Data(Tuple t) {
-    TupleChunk chunk;
-    // Exactly one element ever lands here; reserving skips the growth
-    // policy's larger first allocation on the per-tuple path.
-    chunk.reserve(1);
-    chunk.push_back(std::move(t));
-    return Activation{Kind::kData, std::move(chunk)};
-  }
   static Activation DataChunk(TupleChunk chunk) {
     return Activation{Kind::kData, std::move(chunk)};
   }

@@ -31,11 +31,11 @@ namespace dbs3 {
 /// Thread safety: shared by every operation of an execution; all methods are
 /// safe to call concurrently. In front of the shared (mutex-protected) free
 /// list sits a small per-thread cache, refilled and spilled in batches: at
-/// chunk_size 1 — the paper-faithful default, one chunk per tuple — the pool
-/// sees two calls per tuple from different threads, and a single shared
-/// mutex there would serialize the whole data path. With the cache, the
-/// steady-state Acquire/Release pair is two thread-local vector operations;
-/// the mutex is touched once per kTlsBatch buffers.
+/// chunk_size 1 — the paper-faithful per-tuple mode, one chunk per tuple —
+/// the pool sees two calls per tuple from different threads, and a single
+/// shared mutex there would serialize the whole data path. With the cache,
+/// the steady-state Acquire/Release pair is two thread-local vector
+/// operations; the mutex is touched once per kTlsBatch buffers.
 ///
 /// The cache is deliberately not tied to a pool instance: buffers are plain
 /// self-owning vectors, so one execution's thread may hand its cached

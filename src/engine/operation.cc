@@ -256,11 +256,6 @@ void Operation::PushActivation(size_t instance, Activation a,
   }
 }
 
-void Operation::PushData(size_t instance, Tuple tuple) {
-  PushActivation(instance, Activation::Data(std::move(tuple)),
-                 "data activation");
-}
-
 void Operation::PushDataChunk(size_t instance, TupleChunk tuples) {
   if (tuples.empty()) return;
   PushActivation(instance, Activation::DataChunk(std::move(tuples)),

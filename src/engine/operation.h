@@ -169,10 +169,8 @@ class Operation {
   /// producer finishes, queues are closed and idle workers drain and exit.
   void ProducerDone() EXCLUDES(wait_mu_);
 
-  /// Enqueues a single-tuple data activation for `instance`.
-  void PushData(size_t instance, Tuple tuple) EXCLUDES(wait_mu_);
-
-  /// Enqueues a chunked data activation for `instance`. Empty chunks are
+  /// Enqueues a data activation carrying `tuples` for `instance` (a
+  /// one-tuple chunk is the paper's per-tuple activation). Empty chunks are
   /// ignored.
   void PushDataChunk(size_t instance, TupleChunk tuples) EXCLUDES(wait_mu_);
 

@@ -32,10 +32,11 @@ struct PlanNodeParams {
   Strategy strategy = Strategy::kRandom;
   /// Internal activation cache size (consumer-side batching).
   size_t cache_size = 1;
-  /// Tuples per emitted data activation (producer-side batching). 1 = the
-  /// paper-faithful per-tuple mode used by the figure benchmarks; larger
-  /// values amortize queue synchronization over the chunk. Clamped to the
-  /// consumer's queue capacity when that queue is bounded.
+  /// Tuples per emitted data activation (producer-side batching). The
+  /// scheduler writes its derived grain here (step 5); hand-built plans
+  /// keep 1, the paper-faithful per-tuple mode. Larger values amortize
+  /// queue synchronization over the chunk. Clamped to the consumer's queue
+  /// capacity when that queue is bounded.
   size_t chunk_size = 1;
   /// Per-queue capacity in tuple units; 0 = unbounded.
   size_t queue_capacity = 0;

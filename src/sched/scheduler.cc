@@ -7,6 +7,27 @@
 
 namespace dbs3 {
 
+namespace {
+
+/// Step 5's rule for a consumer estimated to receive `tuples` over
+/// `instances` queues with `threads` consumer threads: the largest chunk
+/// whose Eq. 3 skew-overhead bound (threads-1)*c/tuples stays within
+/// kDerivedChunkSkewBound, at most tuples/instances, clamped to
+/// [1, kMaxDerivedChunk]. One thread has no load to balance, so only the
+/// per-instance term applies.
+size_t DerivedChunkSize(double tuples, size_t instances, size_t threads) {
+  double c = tuples / static_cast<double>(instances);
+  if (threads > 1) {
+    c = std::min(c, kDerivedChunkSkewBound * tuples /
+                        static_cast<double>(threads - 1));
+  }
+  if (!(c >= 1.0)) return 1;
+  return static_cast<size_t>(
+      std::min(std::floor(c), static_cast<double>(kMaxDerivedChunk)));
+}
+
+}  // namespace
+
 std::string ScheduleReport::ToString() const {
   std::string out = "schedule: " + std::to_string(total_threads) +
                     " threads, total work " + std::to_string(total_work) +
@@ -15,7 +36,8 @@ std::string ScheduleReport::ToString() const {
     out += "  node " + std::to_string(i) + ": work " +
            std::to_string(estimates[i].total_work) + ", threads " +
            std::to_string(threads[i]) + ", " +
-           StrategyName(strategies[i]) + "\n";
+           StrategyName(strategies[i]) + ", chunk " +
+           std::to_string(chunk_sizes[i]) + "\n";
   }
   return out;
 }
@@ -121,13 +143,31 @@ Result<ScheduleReport> ScheduleQuery(Plan& plan, const CostModel& cost_model,
     report.strategies[i] = s;
   }
 
+  // Step 5: grain of parallelism. A producer's chunk is what its consumer
+  // receives as one data activation, so it is sized from the consumer's
+  // estimated input, instance count and thread count. A pinned
+  // options.chunk_size overrides it for every node; a terminal node emits
+  // nothing downstream and keeps 1.
+  report.chunk_sizes.assign(plan.num_nodes(), 1);
+  for (size_t i = 0; i < plan.num_nodes(); ++i) {
+    const int output = plan.node(i).output;
+    if (options.chunk_size > 0) {
+      report.chunk_sizes[i] = options.chunk_size;
+    } else if (output >= 0) {
+      const size_t consumer = static_cast<size_t>(output);
+      report.chunk_sizes[i] =
+          DerivedChunkSize(incoming[consumer], plan.node(consumer).instances,
+                           report.threads[consumer]);
+    }
+  }
+
   // Write the decisions into the plan.
   for (size_t i = 0; i < plan.num_nodes(); ++i) {
     PlanNodeParams& params = plan.params(i);
     params.threads = report.threads[i];
     params.strategy = report.strategies[i];
     params.cache_size = options.cache_size;
-    params.chunk_size = options.chunk_size;
+    params.chunk_size = report.chunk_sizes[i];
     params.queue_capacity = options.queue_capacity;
     params.cost_estimates = report.estimates[i].per_instance_work;
   }

@@ -31,10 +31,11 @@ struct ScheduleOptions {
   /// Internal activation cache size given to every operation (consumer-side
   /// batching).
   size_t cache_size = 8;
-  /// Tuples per emitted data activation (producer-side batching) given to
-  /// every operation. Default 1 = the paper-faithful per-tuple mode; the
-  /// figure benchmarks rely on it. Raise for throughput workloads.
-  size_t chunk_size = 1;
+  /// Tuples per emitted data activation (producer-side batching). 0 =
+  /// derive each producer's grain from its consumer's estimates (step 5,
+  /// the Eq. 3 rule below). A value > 0 pins every operation to it; 1 is
+  /// the paper-faithful per-tuple mode the figure benchmarks use.
+  size_t chunk_size = 0;
   /// Per-queue capacity in tuple units (0 = unbounded).
   size_t queue_capacity = 0;
   /// Overrides step 4 for every node when set.
@@ -47,6 +48,17 @@ struct ScheduleOptions {
   TraceOptions trace;
 };
 
+/// Step 5 (the grain of parallelism, Section 6): a pipelined consumer fed
+/// T tuples in chunks of c receives a = T/c activations, and Eq. 3 bounds
+/// its skew overhead by v <= (Pmax/P)(n-1)/a ~ (n-1)c/T. The derived chunk
+/// is the largest c keeping that bound at kDerivedChunkSkewBound (the
+/// paper's "< 2%"), no larger than T/instances (one chunk per instance on
+/// average) and within [1, kMaxDerivedChunk].
+inline constexpr double kDerivedChunkSkewBound = 0.02;
+/// Cap of the derived chunk: beyond it the queue round-trip is already
+/// amortized and larger buffers only add memory and first-tuple latency.
+inline constexpr size_t kMaxDerivedChunk = 32;
+
 /// What the scheduler decided, for inspection and tests.
 struct ScheduleReport {
   size_t total_threads = 0;
@@ -55,6 +67,9 @@ struct ScheduleReport {
   std::vector<NodeEstimate> estimates;
   std::vector<size_t> threads;
   std::vector<Strategy> strategies;
+  /// Tuples per data activation each node emits (step 5, or the pinned
+  /// ScheduleOptions::chunk_size).
+  std::vector<size_t> chunk_sizes;
 
   std::string ToString() const;
 };
@@ -79,8 +94,8 @@ ScheduleOptions ApplyUtilization(ScheduleOptions options, double factor);
 /// thread count, splits it over the plan's operators proportionally to
 /// complexity, caps each operator's threads by its degree of partitioning
 /// (the paper's invariant: partitioning degree >= parallelism degree),
-/// picks each operator's consumption strategy, and writes the results into
-/// plan.params().
+/// picks each operator's consumption strategy, then sizes each producer's
+/// data chunks (step 5), and writes the results into plan.params().
 Result<ScheduleReport> ScheduleQuery(Plan& plan, const CostModel& cost_model,
                                      const ScheduleOptions& options);
 

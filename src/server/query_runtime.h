@@ -54,9 +54,10 @@ struct QueryRuntimeOptions {
   /// executions. The pool is what makes the engine's data path
   /// allocation-lean across queries (the free list stays warm from one
   /// execution to the next); sized to absorb a whole pipeline's in-flight
-  /// chunk population at the paper-faithful chunk_size of 1 (one buffer per
-  /// tuple in flight). Shrink it to trade steady-state allocations for
-  /// memory.
+  /// chunk population even when a query pins the paper-faithful
+  /// chunk_size of 1 (one buffer per tuple in flight; the scheduler's
+  /// derived grain needs far fewer). Shrink it to trade steady-state
+  /// allocations for memory.
   size_t chunk_pool_buffers = 64 * 1024;
   /// Largest shared-scan batch a driver folds (lead included). 1 turns the
   /// shared-work path off entirely; the default groups compatible queries

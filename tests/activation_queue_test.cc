@@ -9,7 +9,7 @@ namespace dbs3 {
 namespace {
 
 Activation DataWithKey(int64_t key) {
-  return Activation::Data(Tuple({Value(key)}));
+  return Activation::DataChunk(TupleChunk{Tuple({Value(key)})});
 }
 
 TEST(ActivationQueueTest, FifoOrder) {

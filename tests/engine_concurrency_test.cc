@@ -92,7 +92,9 @@ TEST(EngineConcurrencyTest, ChunkSizeSweepPreservesResults) {
 TEST(EngineConcurrencyTest, ChunkingReducesActivationTraffic) {
   // The join's per-instance counters stay tuple-denominated (skew and
   // load-balance figures keep their meaning) while the activation counter
-  // drops by roughly the chunk factor.
+  // drops by roughly the chunk factor. Chunk 0 is the scheduler's derived
+  // grain: at most one partial chunk per (transmit worker, join instance)
+  // beyond the full ones.
   Database db(4);
   SkewSpec spec;
   spec.a_cardinality = 4'000;
@@ -101,7 +103,7 @@ TEST(EngineConcurrencyTest, ChunkingReducesActivationTraffic) {
   spec.theta = 0.3;
   ASSERT_TRUE(db.CreateSkewedPair(spec, "A", "B").ok());
   uint64_t activations_per_tuple_mode = 0;
-  for (size_t chunk : {1ul, 32ul}) {
+  for (size_t chunk : {1ul, 32ul, 0ul}) {
     QueryOptions options;
     options.schedule.total_threads = 4;
     options.schedule.processors = 8;
@@ -115,6 +117,13 @@ TEST(EngineConcurrencyTest, ChunkingReducesActivationTraffic) {
     if (chunk == 1) {
       activations_per_tuple_mode = join_stats.activations;
       EXPECT_EQ(join_stats.activations, 2'000u);
+    } else if (chunk == 0) {
+      const ScheduleReport& schedule = r.value().schedule;
+      const size_t derived = schedule.chunk_sizes[0];
+      EXPECT_GT(derived, 1u);
+      EXPECT_LE(join_stats.activations,
+                2'000u / derived + spec.degree * schedule.threads[0]);
+      EXPECT_LT(join_stats.activations, activations_per_tuple_mode);
     } else {
       EXPECT_LT(join_stats.activations, activations_per_tuple_mode / 8);
     }
@@ -295,7 +304,8 @@ TEST(EngineConcurrencyTest, DestroyWhileWorkersStillDrainingIsSafe) {
       op.AddProducer();
       op.Start();
       for (int64_t k = 0; k < 400; ++k) {
-        op.PushData(static_cast<size_t>(k) % 4, Tuple({Value(k)}));
+        op.PushDataChunk(static_cast<size_t>(k) % 4,
+                         TupleChunk{Tuple({Value(k)})});
       }
       accepted = 400;
       // No ProducerDone, no Join: the destructor must shut the pool down

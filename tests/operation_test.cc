@@ -10,6 +10,11 @@
 namespace dbs3 {
 namespace {
 
+/// Pushes a one-tuple data chunk: the paper's per-tuple activation.
+void PushTuple(Operation& op, size_t instance, int64_t key) {
+  op.PushDataChunk(instance, TupleChunk{Tuple({Value(key)})});
+}
+
 /// Counts activations per instance; emits nothing.
 class CountingLogic : public OperatorLogic {
  public:
@@ -77,11 +82,11 @@ TEST(OperationTest, ProcessesDataFromAllProducers) {
   op.AddProducer();
   op.Start();
   for (int64_t k = 0; k < 100; ++k) {
-    op.PushData(static_cast<size_t>(k) % 4, Tuple({Value(k)}));
+    PushTuple(op, static_cast<size_t>(k) % 4, k);
   }
   op.ProducerDone();
   for (int64_t k = 0; k < 60; ++k) {
-    op.PushData(static_cast<size_t>(k) % 4, Tuple({Value(k)}));
+    PushTuple(op, static_cast<size_t>(k) % 4, k);
   }
   op.ProducerDone();
   op.Join();
@@ -130,9 +135,9 @@ TEST(OperationTest, ThreadsShareQueuesForLoadBalance) {
   op.AddProducer();
   constexpr uint64_t kItems = 200;
   // Blocker first, then real work — all into instance 1.
-  op.PushData(1, Tuple({Value(int64_t{-1})}));
+  PushTuple(op, 1, int64_t{-1});
   for (uint64_t k = 0; k < kItems; ++k) {
-    op.PushData(1, Tuple({Value(static_cast<int64_t>(k))}));
+    PushTuple(op, 1, static_cast<int64_t>(k));
   }
   op.ProducerDone();
   op.Start();
@@ -216,9 +221,9 @@ TEST(OperationTest, LptConsumesExpensiveQueuesFirst) {
   Operation op(config, &logic, DataOutput{});
   op.AddProducer();
   // Queue everything before starting, so consumption order is pure LPT.
-  op.PushData(0, Tuple({Value(int64_t{0})}));
-  op.PushData(1, Tuple({Value(int64_t{1})}));
-  op.PushData(2, Tuple({Value(int64_t{2})}));
+  PushTuple(op, 0, int64_t{0});
+  PushTuple(op, 1, int64_t{1});
+  PushTuple(op, 2, int64_t{2});
   op.ProducerDone();
   op.Start();
   op.Join();
@@ -233,7 +238,7 @@ TEST(OperationTest, StatsCountPerInstance) {
   Operation op(MakeConfig(3, 2), &logic, DataOutput{});
   op.AddProducer();
   op.Start();
-  for (int64_t k = 0; k < 30; ++k) op.PushData(2, Tuple({Value(k)}));
+  for (int64_t k = 0; k < 30; ++k) PushTuple(op, 2, k);
   op.ProducerDone();
   op.Join();
   const OperationStats stats = op.stats();
@@ -261,7 +266,7 @@ TEST(OperationTest, ContentionCountersConsistent) {
   op.AddProducer();
   op.Start();
   for (int64_t k = 0; k < 500; ++k) {
-    op.PushData(static_cast<size_t>(k) % 2, Tuple({Value(k)}));
+    PushTuple(op, static_cast<size_t>(k) % 2, k);
   }
   op.ProducerDone();
   op.Join();
@@ -278,7 +283,7 @@ TEST(OperationTest, ChunkedPushCountsTuplesNotActivations) {
   TupleChunk chunk;
   for (int64_t k = 0; k < 10; ++k) chunk.push_back(Tuple({Value(k)}));
   op.PushDataChunk(0, std::move(chunk));
-  op.PushData(1, Tuple({Value(int64_t{99})}));
+  PushTuple(op, 1, int64_t{99});
   op.ProducerDone();
   op.Join();
   // The default OnDataBatch loops OnData: every tuple is seen once.
@@ -390,7 +395,7 @@ TEST(OperationTest, ResidualChunkFlushedOnProducerExit) {
 }
 
 TEST(OperationTest, PushNotifyStressSingleThreadBoundedQueue) {
-  // Regression stress for the lost-wakeup race: PushData's pending_
+  // Regression stress for the lost-wakeup race: a push's pending_
   // increment and notify must pair with wait_mu_, or a single worker that
   // just evaluated its wait predicate can sleep through the last
   // activation while the producer blocks on the full bounded queue —
@@ -404,7 +409,7 @@ TEST(OperationTest, PushNotifyStressSingleThreadBoundedQueue) {
     op.AddProducer();
     op.Start();
     for (int64_t k = 0; k < 50; ++k) {
-      op.PushData(0, Tuple({Value(k)}));
+      PushTuple(op, 0, k);
     }
     op.ProducerDone();
     op.Join();
@@ -426,7 +431,7 @@ TEST(OperationTest, DestructorWithoutJoinReleasesWorkers) {
     op.AddProducer();
     op.Start();
     for (int64_t k = 0; k < 8; ++k) {
-      op.PushData(static_cast<size_t>(k) % 2, Tuple({Value(k)}));
+      PushTuple(op, static_cast<size_t>(k) % 2, k);
     }
     // No ProducerDone, no Join: the destructor must shut the pool down.
   }
@@ -439,10 +444,10 @@ TEST(OperationTest, DroppedUnitsCountedOnClosedQueues) {
   Operation op(MakeConfig(2, 1), &logic, DataOutput{});
   op.AddProducer();
   op.Start();
-  op.PushData(0, Tuple({Value(int64_t{1})}));
+  PushTuple(op, 0, int64_t{1});
   op.ProducerDone();  // Closes the queues.
   op.Join();
-  op.PushData(0, Tuple({Value(int64_t{2})}));   // Dropped: 1 unit.
+  PushTuple(op, 0, int64_t{2});   // Dropped: 1 unit.
   op.PushTrigger(1);                            // Dropped: 1 unit.
   TupleChunk chunk;
   for (int64_t k = 0; k < 5; ++k) chunk.push_back(Tuple({Value(k)}));
@@ -458,7 +463,7 @@ TEST(OperationTest, NothingDroppedOnCleanShutdown) {
   op.AddProducer();
   op.Start();
   for (int64_t k = 0; k < 100; ++k) {
-    op.PushData(static_cast<size_t>(k) % 2, Tuple({Value(k)}));
+    PushTuple(op, static_cast<size_t>(k) % 2, k);
   }
   op.ProducerDone();
   op.Join();
@@ -475,7 +480,7 @@ TEST(OperationTest, BusyTimeAccountingConsistent) {
   op.AddProducer();
   op.Start();
   for (int64_t k = 0; k < 2'000; ++k) {
-    op.PushData(static_cast<size_t>(k) % 4, Tuple({Value(k)}));
+    PushTuple(op, static_cast<size_t>(k) % 4, k);
   }
   op.ProducerDone();
   op.Join();
@@ -507,7 +512,7 @@ TEST(OperationTest, QueueAcquisitionSplitCountsEveryBatch) {
   op.AddProducer();
   op.Start();
   for (int64_t k = 0; k < 300; ++k) {
-    op.PushData(static_cast<size_t>(k) % 2, Tuple({Value(k)}));
+    PushTuple(op, static_cast<size_t>(k) % 2, k);
   }
   op.ProducerDone();
   op.Join();
@@ -526,7 +531,7 @@ TEST(OperationTest, PeakQueueUnitsSeesPreloadedBacklog) {
   op.AddProducer();
   // Everything queued on instance 0 before any worker runs: the high-water
   // mark must see the full backlog.
-  for (int64_t k = 0; k < 40; ++k) op.PushData(0, Tuple({Value(k)}));
+  for (int64_t k = 0; k < 40; ++k) PushTuple(op, 0, k);
   op.ProducerDone();
   op.Start();
   op.Join();
@@ -542,7 +547,7 @@ TEST(OperationTest, TracerRecordsSpansCoveringAllUnits) {
   op.AddProducer();
   op.Start();
   for (int64_t k = 0; k < 64; ++k) {
-    op.PushData(static_cast<size_t>(k) % 2, Tuple({Value(k)}));
+    PushTuple(op, static_cast<size_t>(k) % 2, k);
   }
   op.ProducerDone();
   op.Join();
@@ -568,7 +573,7 @@ TEST(OperationTest, BoundedQueuesApplyBackpressure) {
   // 1000 pushes through capacity-4 queues must all complete (consumer
   // drains concurrently).
   for (int64_t k = 0; k < 1'000; ++k) {
-    op.PushData(static_cast<size_t>(k) % 2, Tuple({Value(k)}));
+    PushTuple(op, static_cast<size_t>(k) % 2, k);
   }
   op.ProducerDone();
   op.Join();

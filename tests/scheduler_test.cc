@@ -1,5 +1,6 @@
 #include "sched/scheduler.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -18,35 +19,57 @@ struct TestPlan {
   Plan plan;
 };
 
-/// Builds an AssocJoin-shaped plan over a skewed pair.
-TestPlan MakeAssocPlan(double theta, size_t degree = 20) {
+/// Builds an AssocJoin-shaped plan over a skewed pair: transmit(probe) ->
+/// pipelined join(inner) -> store. The probe is B' (the smaller side)
+/// unless `probe_with_a`.
+TestPlan MakeAssocPlan(const SkewSpec& spec, bool probe_with_a = false) {
   TestPlan tp;
+  auto db = BuildSkewedDatabase(spec);
+  EXPECT_TRUE(db.ok());
+  tp.a = std::move(db.value().a);
+  tp.b = std::move(db.value().b);
+  const Relation* probe = probe_with_a ? tp.a.get() : tp.b.get();
+  const Relation* inner = probe_with_a ? tp.b.get() : tp.a.get();
+  tp.result = std::make_unique<Relation>(
+      "Res", Schema::Concat(probe->schema(), inner->schema()), 0,
+      Partitioner(PartitionKind::kModulo, spec.degree));
+  const size_t transmit =
+      tp.plan.AddNode("transmit", ActivationMode::kTriggered, spec.degree,
+                      std::make_unique<TransmitLogic>(probe));
+  const size_t join = tp.plan.AddNode(
+      "join", ActivationMode::kPipelined, spec.degree,
+      std::make_unique<PipelinedJoinLogic>(inner, 0, 0,
+                                           JoinAlgorithm::kNestedLoop));
+  const size_t store =
+      tp.plan.AddNode("store", ActivationMode::kPipelined, spec.degree,
+                      std::make_unique<StoreLogic>(tp.result.get()));
+  EXPECT_TRUE(
+      tp.plan.ConnectByColumn(transmit, join, 0, inner->partitioner()).ok());
+  EXPECT_TRUE(tp.plan.ConnectSameInstance(join, store).ok());
+  return tp;
+}
+
+TestPlan MakeAssocPlan(double theta, size_t degree = 20) {
   SkewSpec spec;
   spec.a_cardinality = 20'000;
   spec.b_cardinality = 2'000;
   spec.degree = degree;
   spec.theta = theta;
-  auto db = BuildSkewedDatabase(spec);
-  EXPECT_TRUE(db.ok());
-  tp.a = std::move(db.value().a);
-  tp.b = std::move(db.value().b);
-  tp.result = std::make_unique<Relation>(
-      "Res", Schema::Concat(tp.b->schema(), tp.a->schema()), 0,
-      Partitioner(PartitionKind::kModulo, degree));
-  const size_t transmit =
-      tp.plan.AddNode("transmit", ActivationMode::kTriggered, degree,
-                      std::make_unique<TransmitLogic>(tp.b.get()));
-  const size_t join = tp.plan.AddNode(
-      "join", ActivationMode::kPipelined, degree,
-      std::make_unique<PipelinedJoinLogic>(tp.a.get(), 0, 0,
-                                           JoinAlgorithm::kNestedLoop));
-  const size_t store =
-      tp.plan.AddNode("store", ActivationMode::kPipelined, degree,
-                      std::make_unique<StoreLogic>(tp.result.get()));
-  EXPECT_TRUE(
-      tp.plan.ConnectByColumn(transmit, join, 0, tp.a->partitioner()).ok());
-  EXPECT_TRUE(tp.plan.ConnectSameInstance(join, store).ok());
-  return tp;
+  return MakeAssocPlan(spec);
+}
+
+/// The consumer's estimated input T for producer `node`: the summed output
+/// estimates of every producer feeding the same consumer.
+double ConsumerInput(const Plan& plan, const ScheduleReport& report,
+                     size_t node) {
+  const int consumer = plan.node(node).output;
+  double tuples = 0.0;
+  for (size_t p = 0; p < plan.num_nodes(); ++p) {
+    if (plan.node(p).output == consumer) {
+      tuples += report.estimates[p].output_tuples;
+    }
+  }
+  return tuples;
 }
 
 TEST(SchedulerTest, FixedThreadCountDistributedByComplexity) {
@@ -232,6 +255,131 @@ TEST(SchedulerTest, ReportToStringMentionsEveryNode) {
   const std::string text = report.value().ToString();
   EXPECT_NE(text.find("node 0"), std::string::npos);
   EXPECT_NE(text.find("node 2"), std::string::npos);
+  EXPECT_NE(text.find(", chunk " +
+                      std::to_string(report.value().chunk_sizes[0])),
+            std::string::npos);
+}
+
+// ------------------------------------------------- Step 5: derived grain --
+
+TEST(SchedulerTest, LargePipelinedInputGetsMaxChunk) {
+  SkewSpec spec;
+  spec.a_cardinality = 20'000;
+  spec.b_cardinality = 2'000;
+  spec.degree = 20;
+  TestPlan tp = MakeAssocPlan(spec, /*probe_with_a=*/true);
+  ScheduleOptions options;  // chunk_size 0: derived.
+  options.total_threads = 4;
+  options.processors = 8;
+  auto report = ScheduleQuery(tp.plan, CostModel{}, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // 20K probes into the join: the Eq. 3 term allows 0.02 * 20000 / 3 and
+  // more, the per-instance share 1000, so the cap binds.
+  EXPECT_EQ(report.value().chunk_sizes[0], kMaxDerivedChunk);
+  EXPECT_EQ(tp.plan.params(0).chunk_size, kMaxDerivedChunk);
+  // The store is terminal: nothing downstream to chunk.
+  EXPECT_EQ(report.value().chunk_sizes[2], 1u);
+}
+
+TEST(SchedulerTest, SmallInputChunkBoundedByPerInstanceShare) {
+  for (uint64_t probes : {20ul, 100ul}) {
+    for (size_t threads : {1ul, 4ul}) {
+      SkewSpec spec;
+      spec.a_cardinality = 2'000;
+      spec.b_cardinality = probes;
+      spec.degree = 20;
+      TestPlan tp = MakeAssocPlan(spec);
+      ScheduleOptions options;
+      options.total_threads = threads;
+      options.processors = 8;
+      auto report = ScheduleQuery(tp.plan, CostModel{}, options);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      const double per_instance =
+          ConsumerInput(tp.plan, report.value(), 0) / 20.0;
+      const size_t c = report.value().chunk_sizes[0];
+      EXPECT_GE(c, 1u) << probes << " probes, " << threads << " threads";
+      EXPECT_LE(static_cast<double>(c), std::max(1.0, per_instance))
+          << probes << " probes, " << threads << " threads";
+      if (threads == 1 && probes == 100) {
+        // One consumer thread drops the Eq. 3 term: 100 / 20 instances.
+        EXPECT_EQ(c, 5u);
+      }
+    }
+  }
+}
+
+TEST(SchedulerTest, DerivedChunksMeetTheEq3SkewBound) {
+  size_t coarse = 0;
+  for (bool probe_with_a : {false, true}) {
+    for (size_t degree : {8ul, 20ul}) {
+      for (size_t threads : {1ul, 2ul, 4ul, 8ul}) {
+        SkewSpec spec;
+        spec.a_cardinality = 20'000;
+        spec.b_cardinality = 2'000;
+        spec.degree = degree;
+        TestPlan tp = MakeAssocPlan(spec, probe_with_a);
+        ScheduleOptions options;
+        options.total_threads = threads;
+        options.processors = 8;
+        auto report = ScheduleQuery(tp.plan, CostModel{}, options);
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+        const ScheduleReport& r = report.value();
+        for (size_t i = 0; i < tp.plan.num_nodes(); ++i) {
+          const int consumer = tp.plan.node(i).output;
+          const size_t c = r.chunk_sizes[i];
+          EXPECT_EQ(tp.plan.params(i).chunk_size, c);
+          if (consumer < 0 || c <= 1) continue;
+          ++coarse;
+          // v <= (n - 1) / a with a = T / c activations.
+          const double n = static_cast<double>(
+              r.threads[static_cast<size_t>(consumer)]);
+          const double bound = (n - 1.0) * static_cast<double>(c) /
+                               ConsumerInput(tp.plan, r, i);
+          EXPECT_LE(bound, kDerivedChunkSkewBound)
+              << "node " << i << ", degree " << degree << ", " << threads
+              << " threads";
+        }
+      }
+    }
+  }
+  EXPECT_GT(coarse, 0u);  // The bound was checked on real chunks.
+}
+
+TEST(SchedulerTest, ExplicitChunkSizePinsEveryNode) {
+  for (size_t pinned : {1ul, 7ul}) {
+    SkewSpec spec;
+    spec.a_cardinality = 20'000;
+    spec.b_cardinality = 2'000;
+    spec.degree = 20;
+    TestPlan tp = MakeAssocPlan(spec, /*probe_with_a=*/true);
+    ScheduleOptions options;
+    options.total_threads = 4;
+    options.processors = 8;
+    options.chunk_size = pinned;
+    auto report = ScheduleQuery(tp.plan, CostModel{}, options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    for (size_t i = 0; i < tp.plan.num_nodes(); ++i) {
+      EXPECT_EQ(report.value().chunk_sizes[i], pinned) << "node " << i;
+      EXPECT_EQ(tp.plan.params(i).chunk_size, pinned) << "node " << i;
+    }
+  }
+}
+
+TEST(SchedulerTest, DerivedSchedulePassesValidate) {
+  for (bool probe_with_a : {false, true}) {
+    SkewSpec spec;
+    spec.a_cardinality = 20'000;
+    spec.b_cardinality = 2'000;
+    spec.degree = 20;
+    TestPlan tp = MakeAssocPlan(spec, probe_with_a);
+    ScheduleOptions options;
+    options.processors = 8;
+    ASSERT_TRUE(ScheduleQuery(tp.plan, CostModel{}, options).ok());
+    EXPECT_TRUE(tp.plan.Validate().ok());
+    for (size_t i = 0; i < tp.plan.num_nodes(); ++i) {
+      EXPECT_GE(tp.plan.params(i).chunk_size, 1u) << "node " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -529,8 +529,9 @@ class VectorDifferentialTest : public ::testing::Test {
   }
 
   /// Runs `run` at every chunk size — 1 keeps data activations on the row
-  /// loops, larger sizes take the batch kernels — and requires sorted
-  /// results equal to `expected` and tuple ledgers equal to chunk size 1's.
+  /// loops, larger sizes take the batch kernels, 0 is the scheduler's
+  /// derived grain — and requires sorted results equal to `expected` and
+  /// tuple ledgers equal to chunk size 1's.
   void ExpectMatchesReference(
       const std::function<Result<QueryResult>(const QueryOptions&)>& run,
       const std::vector<Tuple>& expected) {
@@ -539,7 +540,7 @@ class VectorDifferentialTest : public ::testing::Test {
     ASSERT_TRUE(per_tuple.ok()) << per_tuple.status().ToString();
     EXPECT_EQ(SortedScan(*per_tuple.value().result), expected)
         << "chunk_size=1";
-    for (size_t chunk_size : {4, 16, 64}) {
+    for (size_t chunk_size : {0, 4, 16, 64}) {
       auto got = run(Options(chunk_size));
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(SortedScan(*got.value().result), expected)
