@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "common/arena.h"
+#include "common/memory_quota.h"
 #include "engine/vector/column_batch.h"
 #include "engine/vector/kernels.h"
 
@@ -307,8 +308,17 @@ PipelinedJoinLogic::PipelinedJoinLogic(const Relation* inner,
     : inner_(inner),
       inner_column_(inner_column),
       probe_column_(probe_column),
-      algorithm_(algorithm),
-      indexes_(inner, inner_column) {}
+      algorithm_(algorithm) {}
+
+PipelinedJoinLogic::~PipelinedJoinLogic() {
+  // A cancelled run skips OnFinish; charges held by retained build rows are
+  // returned here (the bound quota outlives the plan's logics by contract).
+  ReleaseCharges();
+}
+
+void PipelinedJoinLogic::BindExecution(const ExecResources& resources) {
+  resources_ = resources;
+}
 
 NodeEstimate PipelinedJoinLogic::Estimate(const CostModel& cost_model,
                                           double input_tuples) const {
@@ -325,6 +335,8 @@ NodeEstimate PipelinedJoinLogic::Estimate(const CostModel& cost_model,
       w = probes_per_instance * static_cast<double>(c) * cost_model.nl_pair;
     } else {
       // One-time build amortized into the instance, constant-ish probes.
+      // The scheduler has no spill statistics, so a spilling build is
+      // estimated as the in-memory one.
       w = static_cast<double>(c) * cost_model.index_build_tuple +
           probes_per_instance * cost_model.index_probe;
     }
@@ -343,15 +355,64 @@ Status PipelinedJoinLogic::Prepare(size_t num_instances) {
         " instances but inner relation '" + inner_->name() + "' has only " +
         std::to_string(inner_->degree()) + " fragments");
   }
-  indexes_.Reset(num_instances);
+  ReleaseCharges();
+  instances_.clear();
+  for (size_t i = 0; i < num_instances; ++i) {
+    instances_.push_back(std::make_unique<InstanceState>());
+  }
   return Status::OK();
+}
+
+void PipelinedJoinLogic::ReleaseCharges() {
+  MemoryQuota* quota = resources_.quota;
+  if (quota == nullptr) return;
+  // Only non-zero ledgers touch the quota: after a clean OnFinish every
+  // ledger is zero, and the quota may already be gone.
+  for (const auto& state : instances_) {
+    if (state->charged != 0) quota->Release(state->charged);
+    for (const Partition& part : state->parts) {
+      if (part.charged != 0) quota->Release(part.charged);
+    }
+  }
+}
+
+void PipelinedJoinLogic::RecordError(InstanceState& state, Status status) {
+  if (status.ok()) return;
+  MutexLock lock(&state.mu);
+  if (state.error.ok()) state.error = std::move(status);
+}
+
+Status PipelinedJoinLogic::error() const {
+  for (const auto& state : instances_) {
+    MutexLock lock(&state->mu);
+    if (!state->error.ok()) return state->error;
+  }
+  return Status::OK();
+}
+
+PipelinedJoinLogic::InstanceState& PipelinedJoinLogic::EnsureBuilt(
+    size_t instance) {
+  InstanceState& state = *instances_[instance];
+  std::call_once(state.built, [&] {
+    const Fragment& fragment = inner_->fragment(instance);
+    const uint64_t units = fragment.cardinality();
+    MemoryQuota* quota = resources_.quota;
+    if (quota != nullptr && !quota->TryCharge(units)) {
+      BuildPartitions(instance);
+      return;
+    }
+    // It fits: index the fragment in place and hold its units.
+    if (quota != nullptr) state.charged = units;
+    state.index = std::make_unique<TempIndex>(fragment, inner_column_);
+  });
+  return state;
 }
 
 void PipelinedJoinLogic::OnDataBatch(size_t instance,
                                      std::span<Tuple> tuples, Emitter* out) {
   // Per-activation setup hoisted out of the probe loop: the fragment
   // reference, the algorithm dispatch, and (for indexed joins) the
-  // once-flag-guarded index resolution happen once per chunk.
+  // once-flag-guarded build resolution happen once per chunk.
   const Fragment& inner = inner_->fragment(instance);
   switch (algorithm_) {
     case JoinAlgorithm::kNestedLoop:
@@ -363,7 +424,12 @@ void PipelinedJoinLogic::OnDataBatch(size_t instance,
       }
       break;
     case JoinAlgorithm::kTempIndex: {
-      const TempIndex& index = indexes_.For(instance);
+      InstanceState& state = EnsureBuilt(instance);
+      if (state.index == nullptr) {
+        ProbePartitions(instance, state, tuples, out);
+        break;
+      }
+      const TempIndex& index = *state.index;
       if (tuples.size() >= kMinBatchRows) {
         BatchProbeJoin(index,
                        std::span<const Tuple>(tuples.data(), tuples.size()),
@@ -378,6 +444,16 @@ void PipelinedJoinLogic::OnDataBatch(size_t instance,
       break;
     }
   }
+}
+
+void PipelinedJoinLogic::OnFinish(size_t instance, Emitter* out) {
+  InstanceState& state = *instances_[instance];
+  if (!state.parts.empty()) FinishPartitions(instance, state, out);
+  // Drop the in-place build and return its charge: downstream of OnFinish
+  // nothing probes this instance again.
+  if (state.charged != 0) resources_.quota->Release(state.charged);
+  state.charged = 0;
+  state.index.reset();
 }
 
 // ------------------------------------------------------------------ Store

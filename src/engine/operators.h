@@ -5,6 +5,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -13,9 +14,11 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "engine/operator_logic.h"
 #include "engine/vector/pred.h"
 #include "storage/relation.h"
+#include "storage/spill.h"
 #include "storage/temp_index.h"
 
 namespace dbs3 {
@@ -154,31 +157,139 @@ class FragmentIndexes {
 };
 
 /// Pipelined join (AssocJoin node, Figure 11): the inner operand is bound
-/// statically; each data activation conveys one probe tuple, joined against
-/// the inner fragment of the receiving instance.
+/// statically; each data activation conveys a span of probe tuples, joined
+/// against the inner fragment of the receiving instance. Output rows are
+/// probe columns then inner columns.
+///
+/// kNestedLoop holds no build state: it charges nothing and never spills.
+///
+/// kTempIndex builds each instance's index on its first activation, and
+/// which build runs is decided by one fact: does the inner fragment fit the
+/// bound MemoryQuota? The build charges the whole fragment in one TryCharge
+/// (no quota, or a limit-0 one, always fits).
+///
+/// * It fits: the fragment is indexed in place, no copy. The units are
+///   held until OnFinish (or destruction, on a cancelled run).
+/// * It does not: a memory-bounded dynamic hybrid hash join (per *Design
+///   Trade-offs for a Robust Dynamic Hybrid Hash Join*, spill_join.cc).
+///   The fragment is hash-partitioned into kSpillFanout partitions, one
+///   unit charged per retained tuple; a failed charge spills the largest
+///   resident partition to an unlinked temp file and the build continues,
+///   so the data decides how many partitions stay resident. Probes of
+///   resident partitions emit immediately; probes of spilled ones are
+///   deferred to the partition's probe file. OnFinish joins each spilled
+///   build/probe file pair with bounded memory: reload the build side if
+///   it now fits, otherwise repartition with a level-salted hash, and at
+///   kSpillMaxRecursion (or when a level fails to split) a block
+///   nested-loop pass over quota-sized build batches, which terminates
+///   under any skew.
+///
+/// Both builds emit the same rows: every probe meets its key's matches in
+/// inner-fragment order.
 class PipelinedJoinLogic : public OperatorLogic {
  public:
   /// Probes column `probe_column` of incoming tuples against
   /// inner.column(inner_column) on inner fragment `instance`.
   PipelinedJoinLogic(const Relation* inner, size_t inner_column,
                      size_t probe_column, JoinAlgorithm algorithm);
+  ~PipelinedJoinLogic() override;
 
+  void BindExecution(const ExecResources& resources) override;
   Status Prepare(size_t num_instances) override;
-  /// Resolves the inner fragment / temp index once per activation, and for
+  /// Resolves the inner fragment / build once per activation, and for
   /// large chunks hashes the whole probe-key column up front and runs the
   /// batched prefetching probe.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
+  /// Joins the instance's spilled partitions, then drops its build and
+  /// returns the build's quota units.
+  void OnFinish(size_t instance, Emitter* out) override;
+  Status error() const override;
   std::string name() const override { return "join"; }
   NodeEstimate Estimate(const CostModel& cost_model,
                         double input_tuples) const override;
 
  private:
+  /// One build partition of the hybrid path. `spilled` is decided during
+  /// the build (inside the instance's call_once) and read-only afterwards;
+  /// probe-file appends are the only post-build mutation and take the
+  /// instance lock.
+  struct Partition {
+    Fragment build;                    ///< In-memory build rows.
+    std::unique_ptr<TempIndex> index;  ///< Over `build`, post-build.
+    bool spilled = false;
+    std::unique_ptr<SpillFile> build_file;
+    std::unique_ptr<SpillFile> probe_file;
+    uint64_t charged = 0;  ///< Quota units held by `build`.
+  };
+
+  struct InstanceState {
+    Mutex mu{"PipelinedJoinLogic::instance_mu"};
+    std::once_flag built;
+    /// Filled inside the call_once; structurally immutable after. The
+    /// in-place build sets `index` (over the inner fragment itself) and
+    /// `charged`; the hybrid build sets `parts` instead.
+    std::unique_ptr<TempIndex> index;
+    uint64_t charged = 0;  ///< Quota units held by the in-place build.
+    std::vector<Partition> parts;
+    Status error GUARDED_BY(mu);
+  };
+
+  /// Runs the instance's build once: in place when the fragment fits the
+  /// quota, partitioned (BuildPartitions) otherwise.
+  InstanceState& EnsureBuilt(size_t instance);
+  /// Returns every unit the instances' builds still hold.
+  void ReleaseCharges();
+  void RecordError(InstanceState& state, Status status) EXCLUDES(state.mu);
+
+  // The hybrid path (spill_join.cc).
+
+  /// The partition of `v` at recursion `level`. Level-salted and remixed so
+  /// it is independent of the upstream repartition edge's hash (which
+  /// already constrained every key this instance sees).
+  static size_t PartitionOf(const Value& v, size_t level);
+  void BuildPartitions(size_t instance);
+  /// Probes resident partitions and defers probes of spilled ones.
+  void ProbePartitions(size_t instance, InstanceState& state,
+                       std::span<Tuple> tuples, Emitter* out);
+  /// Joins every spilled pair of the instance and frees its partitions.
+  void FinishPartitions(size_t instance, InstanceState& state, Emitter* out);
+  /// Spills the largest in-memory partition with build rows; when none has
+  /// any, marks `current` itself spilled. Returns non-OK on IO failure.
+  Status SpillVictim(InstanceState& state, size_t current);
+  Status SpillPartition(Partition& part);
+  /// Joins one spilled build/probe file pair with bounded memory.
+  Status ProcessSpilledPair(size_t instance, SpillFile* build_file,
+                            SpillFile* probe_file, size_t level,
+                            Emitter* out);
+  /// Streams `probe_file` against an in-memory build fragment + index.
+  Status StreamProbeFile(size_t instance, SpillFile* probe_file,
+                         const Fragment& build, const TempIndex& index,
+                         Emitter* out);
+  /// Splits the pair into kSpillFanout sub-pairs at `level` and recurses.
+  Status Repartition(size_t instance, SpillFile* build_file,
+                     SpillFile* probe_file, size_t level, Emitter* out);
+  /// Quota-sized build batches, each joined against a full probe rescan.
+  Status BlockNestedLoop(size_t instance, SpillFile* build_file,
+                         SpillFile* probe_file, Emitter* out);
+  /// Publishes the counters' growth since the last publish into the bound
+  /// metrics registry (called from the sequential OnFinish).
+  void PublishMetrics();
+
   const Relation* inner_;
   size_t inner_column_;
   size_t probe_column_;
   JoinAlgorithm algorithm_;
-  FragmentIndexes indexes_;
+  ExecResources resources_;
+  std::vector<std::unique_ptr<InstanceState>> instances_;
+  SpillCounters counters_;
+  /// spill.* counter values already published to the metrics registry.
+  uint64_t published_bytes_written_ = 0;
+  uint64_t published_bytes_read_ = 0;
+  uint64_t published_partitions_ = 0;
+  uint64_t published_recursions_ = 0;
+  std::atomic<uint64_t> partitions_spilled_{0};
+  std::atomic<uint64_t> recursions_{0};
 };
 
 /// Pipelined materialization: appends each incoming tuple to fragment

@@ -1,11 +1,12 @@
-#include "engine/spill_join.h"
+// The hybrid-hash path of PipelinedJoinLogic: the build, probe and flush
+// of an instance whose inner fragment does not fit the bound MemoryQuota.
 
-#include <algorithm>
 #include <utility>
 
 #include "common/hash.h"
 #include "common/memory_quota.h"
 #include "common/metrics.h"
+#include "engine/operators.h"
 
 namespace dbs3 {
 
@@ -17,79 +18,23 @@ namespace {
 /// and partition placement would degenerate).
 constexpr uint64_t kSpillSalt = 0x5b11f11e5a17u;
 
+/// Build-side hash partitions per instance (and per recursion level).
+constexpr size_t kSpillFanout = 8;
+
+/// Recursion levels before an unsplittable partition (a single hot key
+/// defeats every rehash) falls back to the block nested-loop pass.
+constexpr size_t kSpillMaxRecursion = 6;
+
 }  // namespace
 
-SpillingHashJoinLogic::SpillingHashJoinLogic(const Relation* inner,
-                                             size_t inner_column,
-                                             size_t probe_column,
-                                             SpillJoinOptions options)
-    : inner_(inner),
-      inner_column_(inner_column),
-      probe_column_(probe_column),
-      options_(options) {
-  options_.fanout = std::max<size_t>(2, options_.fanout);
-  options_.max_recursion = std::max<size_t>(1, options_.max_recursion);
-}
-
-SpillingHashJoinLogic::~SpillingHashJoinLogic() {
-  // A cancelled run skips OnFinish; charges held by retained build rows are
-  // returned here (the bound quota outlives the plan's logics by contract).
-  if (resources_.quota == nullptr) return;
-  for (const auto& state : instances_) {
-    for (const Partition& part : state->parts) {
-      resources_.quota->Release(part.charged);
-    }
-  }
-}
-
-void SpillingHashJoinLogic::BindExecution(const ExecResources& resources) {
-  resources_ = resources;
-}
-
-Status SpillingHashJoinLogic::Prepare(size_t num_instances) {
-  if (num_instances > inner_->degree()) {
-    return Status::InvalidArgument(
-        "spill-join has " + std::to_string(num_instances) +
-        " instances but inner relation '" + inner_->name() + "' has only " +
-        std::to_string(inner_->degree()) + " fragments");
-  }
-  if (resources_.quota != nullptr) {
-    for (const auto& state : instances_) {
-      for (const Partition& part : state->parts) {
-        resources_.quota->Release(part.charged);
-      }
-    }
-  }
-  instances_.clear();
-  for (size_t i = 0; i < num_instances; ++i) {
-    instances_.push_back(std::make_unique<InstanceState>());
-  }
-  return Status::OK();
-}
-
-size_t SpillingHashJoinLogic::PartitionOf(const Value& v,
-                                          size_t level) const {
+size_t PipelinedJoinLogic::PartitionOf(const Value& v, size_t level) {
   const uint64_t salt =
       kSpillSalt + static_cast<uint64_t>(level) * 0x9e3779b97f4a7c15ull;
   return static_cast<size_t>(HashInt64(HashCombine(v.Hash(), salt)) %
-                             options_.fanout);
+                             kSpillFanout);
 }
 
-void SpillingHashJoinLogic::RecordError(InstanceState& state, Status status) {
-  if (status.ok()) return;
-  MutexLock lock(&state.mu);
-  if (state.error.ok()) state.error = std::move(status);
-}
-
-Status SpillingHashJoinLogic::error() const {
-  for (const auto& state : instances_) {
-    MutexLock lock(&state->mu);
-    if (!state->error.ok()) return state->error;
-  }
-  return Status::OK();
-}
-
-Status SpillingHashJoinLogic::SpillPartition(Partition& part) {
+Status PipelinedJoinLogic::SpillPartition(Partition& part) {
   if (part.build_file == nullptr) {
     DBS3_ASSIGN_OR_RETURN(part.build_file, SpillFile::Create(&counters_));
   }
@@ -106,8 +51,8 @@ Status SpillingHashJoinLogic::SpillPartition(Partition& part) {
   return Status::OK();
 }
 
-Status SpillingHashJoinLogic::SpillVictim(InstanceState& state,
-                                          size_t current) {
+Status PipelinedJoinLogic::SpillVictim(InstanceState& state,
+                                       size_t current) {
   size_t victim = state.parts.size();
   size_t victim_rows = 0;
   for (size_t p = 0; p < state.parts.size(); ++p) {
@@ -123,10 +68,10 @@ Status SpillingHashJoinLogic::SpillVictim(InstanceState& state,
   return SpillPartition(state.parts[victim]);
 }
 
-void SpillingHashJoinLogic::BuildPartitions(size_t instance) {
+void PipelinedJoinLogic::BuildPartitions(size_t instance) {
   InstanceState& state = *instances_[instance];
   const Fragment& fragment = inner_->fragment(instance);
-  state.parts.resize(options_.fanout);
+  state.parts.resize(kSpillFanout);
   MemoryQuota* quota = resources_.quota;
   for (const Tuple& t : fragment.tuples) {
     const size_t p = PartitionOf(t.at(inner_column_), 0);
@@ -160,16 +105,10 @@ void SpillingHashJoinLogic::BuildPartitions(size_t instance) {
   }
 }
 
-void SpillingHashJoinLogic::EnsureBuilt(size_t instance) {
-  InstanceState& state = *instances_[instance];
-  std::call_once(state.built, [&] { BuildPartitions(instance); });
-}
-
-void SpillingHashJoinLogic::OnDataBatch(size_t instance,
-                                        std::span<Tuple> tuples,
-                                        Emitter* out) {
-  EnsureBuilt(instance);
-  InstanceState& state = *instances_[instance];
+void PipelinedJoinLogic::ProbePartitions(size_t instance,
+                                         InstanceState& state,
+                                         std::span<Tuple> tuples,
+                                         Emitter* out) {
   for (const Tuple& tuple : tuples) {
     const Value& key = tuple.at(probe_column_);
     Partition& part = state.parts[PartitionOf(key, 0)];
@@ -197,11 +136,11 @@ void SpillingHashJoinLogic::OnDataBatch(size_t instance,
   }
 }
 
-Status SpillingHashJoinLogic::StreamProbeFile(size_t instance,
-                                              SpillFile* probe_file,
-                                              const Fragment& build,
-                                              const TempIndex& index,
-                                              Emitter* out) {
+Status PipelinedJoinLogic::StreamProbeFile(size_t instance,
+                                           SpillFile* probe_file,
+                                           const Fragment& build,
+                                           const TempIndex& index,
+                                           Emitter* out) {
   DBS3_RETURN_IF_ERROR(probe_file->Rewind());
   std::vector<Tuple> chunk;
   while (true) {
@@ -219,10 +158,10 @@ Status SpillingHashJoinLogic::StreamProbeFile(size_t instance,
   }
 }
 
-Status SpillingHashJoinLogic::ProcessSpilledPair(size_t instance,
-                                                 SpillFile* build_file,
-                                                 SpillFile* probe_file,
-                                                 size_t level, Emitter* out) {
+Status PipelinedJoinLogic::ProcessSpilledPair(size_t instance,
+                                              SpillFile* build_file,
+                                              SpillFile* probe_file,
+                                              size_t level, Emitter* out) {
   if (resources_.cancel.ShouldStop()) return Status::OK();
   // No deferred probes: the partition produces nothing, skip its IO.
   if (probe_file == nullptr || probe_file->tuple_count() == 0) {
@@ -265,19 +204,19 @@ Status SpillingHashJoinLogic::ProcessSpilledPair(size_t instance,
   if (fits || !result.ok()) return result;
 
   build.tuples.clear();
-  if (level >= options_.max_recursion) {
+  if (level >= kSpillMaxRecursion) {
     return BlockNestedLoop(instance, build_file, probe_file, out);
   }
   return Repartition(instance, build_file, probe_file, level, out);
 }
 
-Status SpillingHashJoinLogic::Repartition(size_t instance,
-                                          SpillFile* build_file,
-                                          SpillFile* probe_file, size_t level,
-                                          Emitter* out) {
+Status PipelinedJoinLogic::Repartition(size_t instance,
+                                       SpillFile* build_file,
+                                       SpillFile* probe_file, size_t level,
+                                       Emitter* out) {
   recursions_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<std::unique_ptr<SpillFile>> sub_build(options_.fanout);
-  std::vector<std::unique_ptr<SpillFile>> sub_probe(options_.fanout);
+  std::vector<std::unique_ptr<SpillFile>> sub_build(kSpillFanout);
+  std::vector<std::unique_ptr<SpillFile>> sub_probe(kSpillFanout);
 
   auto split = [&](SpillFile* src, size_t column,
                    std::vector<std::unique_ptr<SpillFile>>& dst) -> Status {
@@ -301,7 +240,7 @@ Status SpillingHashJoinLogic::Repartition(size_t instance,
   DBS3_RETURN_IF_ERROR(split(build_file, inner_column_, sub_build));
   DBS3_RETURN_IF_ERROR(split(probe_file, probe_column_, sub_probe));
 
-  for (size_t p = 0; p < options_.fanout; ++p) {
+  for (size_t p = 0; p < kSpillFanout; ++p) {
     if (sub_build[p] == nullptr || sub_probe[p] == nullptr) continue;
     // A level that failed to split (one hot key captured everything) will
     // fail to split forever; stop rehashing and nested-loop it now.
@@ -316,10 +255,10 @@ Status SpillingHashJoinLogic::Repartition(size_t instance,
   return Status::OK();
 }
 
-Status SpillingHashJoinLogic::BlockNestedLoop(size_t instance,
-                                              SpillFile* build_file,
-                                              SpillFile* probe_file,
-                                              Emitter* out) {
+Status PipelinedJoinLogic::BlockNestedLoop(size_t instance,
+                                           SpillFile* build_file,
+                                           SpillFile* probe_file,
+                                           Emitter* out) {
   MemoryQuota* quota = resources_.quota;
   DBS3_RETURN_IF_ERROR(build_file->Rewind());
   std::vector<Tuple> pending;
@@ -368,10 +307,8 @@ Status SpillingHashJoinLogic::BlockNestedLoop(size_t instance,
   return Status::OK();
 }
 
-void SpillingHashJoinLogic::OnFinish(size_t instance, Emitter* out) {
-  InstanceState& state = *instances_[instance];
-  // An instance that received no probe activations never built; its output
-  // is empty either way (inner join), so skip the build entirely.
+void PipelinedJoinLogic::FinishPartitions(size_t instance,
+                                          InstanceState& state, Emitter* out) {
   for (Partition& part : state.parts) {
     if (!part.spilled) continue;
     const Status processed = ProcessSpilledPair(
@@ -382,20 +319,16 @@ void SpillingHashJoinLogic::OnFinish(size_t instance, Emitter* out) {
   }
   // Drop the resident build side and return its charges: downstream of
   // OnFinish nothing probes this instance again.
-  if (resources_.quota != nullptr) {
-    for (Partition& part : state.parts) {
-      resources_.quota->Release(part.charged);
-      part.charged = 0;
-    }
-  }
   for (Partition& part : state.parts) {
+    if (part.charged != 0) resources_.quota->Release(part.charged);
+    part.charged = 0;
     part.index.reset();
     std::vector<Tuple>().swap(part.build.tuples);
   }
   PublishMetrics();
 }
 
-void SpillingHashJoinLogic::PublishMetrics() {
+void PipelinedJoinLogic::PublishMetrics() {
   if (resources_.metrics == nullptr) return;
   // OnFinish runs sequentially, so delta publishing needs no lock.
   const uint64_t bw = counters_.bytes_written.load(std::memory_order_relaxed);
@@ -415,29 +348,6 @@ void SpillingHashJoinLogic::PublishMetrics() {
   published_bytes_read_ = br;
   published_partitions_ = parts;
   published_recursions_ = recs;
-}
-
-NodeEstimate SpillingHashJoinLogic::Estimate(const CostModel& cost_model,
-                                             double input_tuples) const {
-  // Mirror the in-memory pipelined join's index estimate: when everything
-  // fits the paths are identical, and the scheduler has no spill statistics
-  // to do better with.
-  NodeEstimate e;
-  const std::vector<uint64_t> inner = inner_->FragmentCardinalities();
-  const size_t m = inner.size();
-  const double probes_per_instance =
-      m > 0 ? input_tuples / static_cast<double>(m) : 0.0;
-  e.per_instance_work.reserve(m);
-  for (uint64_t c : inner) {
-    const double w =
-        static_cast<double>(c) * cost_model.index_build_tuple +
-        probes_per_instance * cost_model.index_probe;
-    e.per_instance_work.push_back(w);
-    e.total_work += w;
-  }
-  e.activations = input_tuples;
-  e.output_tuples = input_tuples;
-  return e;
 }
 
 }  // namespace dbs3

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "engine/blocking_operators.h"
-#include "engine/spill_join.h"
 #include "esql/parser.h"
 #include "server/query_runtime.h"
 #include "server/shared/shared_query.h"
@@ -479,23 +478,12 @@ Status BuildSource(Database& db, const EsqlQuery& query,
         ++*phases;
       }
 
-      // A declared budget swaps in the spilling hybrid hash join, which
-      // charges its build side against the query's quota and degrades to
-      // partition-wise disk passes instead of overshooting. Output rows
-      // are identical to the in-memory join (same probe-then-inner
-      // concatenation, same per-partition probe order).
-      const bool budgeted = options.memory_units > 0;
-      std::unique_ptr<OperatorLogic> join_logic;
-      if (budgeted) {
-        join_logic = std::make_unique<SpillingHashJoinLogic>(
-            inner, this_inner_col, this_probe_col);
-      } else {
-        join_logic = std::make_unique<PipelinedJoinLogic>(
-            inner, this_inner_col, this_probe_col, options.algorithm);
-      }
+      // One join at any budget: whether its build indexes the inner
+      // fragment in place or spills is decided at run time by the quota.
       const size_t join = state->plan.AddNode(
           "pipelined-join", ActivationMode::kPipelined, inner->degree(),
-          std::move(join_logic));
+          std::make_unique<PipelinedJoinLogic>(
+              inner, this_inner_col, this_probe_col, options.algorithm));
       DBS3_RETURN_IF_ERROR(state->plan.ConnectByColumn(
           static_cast<size_t>(state->tail), join, this_probe_col,
           inner->partitioner()));
@@ -509,8 +497,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
       const std::string probe_name =
           step == 0 ? rels[probe_idx]->name() : std::string("pipeline");
       state->description += " ; AssocJoin(probe=" + probe_name +
-                            ", inner=" + inner->name() +
-                            (budgeted ? ", spill)" : ")");
+                            ", inner=" + inner->name() + ")";
     }
 
     // A swapped first join produced (right, left) column order; restore the

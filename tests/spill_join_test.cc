@@ -1,14 +1,13 @@
-// Differential tests of the memory-bounded operators: the spilling hybrid
-// hash join and the spilling group-by must produce results identical to
-// their unconstrained in-memory paths under any budget, including budgets
-// small enough to force recursive repartitioning and the block nested-loop
-// fallback. Also pins the cancellation contract: a torn-down logic returns
-// its quota charges and leaks no spill-file handles.
-
-#include "engine/spill_join.h"
+// Differential tests of the memory-bounded operators: the pipelined hash
+// join and the spilling group-by must produce results identical to an
+// unconstrained reference under any budget, including budgets small enough
+// to force the join's hybrid path, recursive repartitioning and the block
+// nested-loop fallback. Also pins the cancellation contract: a torn-down
+// logic returns its quota charges and leaks no spill-file handles.
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -21,6 +20,7 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "dbs3/database.h"
+#include "dbs3/query.h"
 #include "engine/blocking_operators.h"
 #include "engine/operators.h"
 #include "esql/planner.h"
@@ -55,6 +55,21 @@ void Deliver(OperatorLogic& logic, size_t instance, Tuple tuple,
   logic.OnDataBatch(instance, std::span<Tuple>(&tuple, 1), out);
 }
 
+/// Delivers `probes` in `span`-tuple data activations: 1 is the paper's
+/// per-tuple activation, 16 runs the join's batched probe.
+void DeliverAll(OperatorLogic& logic, const std::vector<Tuple>& probes,
+                size_t span, Emitter* out) {
+  for (size_t base = 0; base < probes.size(); base += span) {
+    std::vector<Tuple> chunk(
+        probes.begin() + base,
+        probes.begin() + std::min(probes.size(), base + span));
+    logic.OnDataBatch(0, std::span<Tuple>(chunk), out);
+  }
+}
+
+/// Probe-span sizes every join case runs under.
+constexpr size_t kSpans[] = {1, 16};
+
 /// Degree-1 build relation with rows (key, 1000 + i).
 std::unique_ptr<Relation> MakeInner(const std::vector<int64_t>& keys) {
   auto rel = std::make_unique<Relation>(
@@ -78,10 +93,11 @@ std::vector<Tuple> MakeProbes(const std::vector<int64_t>& keys) {
   return probes;
 }
 
-/// Drives one logic through the executor's calling convention and returns
-/// its sorted output. `quota` may be null (no accounting).
+/// Drives one logic through the executor's calling convention, probes in
+/// `span`-tuple activations, and returns its sorted output. `quota` may be
+/// null (no accounting).
 std::vector<Tuple> RunJoin(OperatorLogic& logic,
-                           const std::vector<Tuple>& probes,
+                           const std::vector<Tuple>& probes, size_t span,
                            MemoryQuota* quota,
                            MetricsRegistry* metrics = nullptr) {
   ExecResources resources;
@@ -90,7 +106,7 @@ std::vector<Tuple> RunJoin(OperatorLogic& logic,
   logic.BindExecution(resources);
   EXPECT_TRUE(logic.Prepare(1).ok());
   CapturingEmitter out;
-  for (const Tuple& p : probes) Deliver(logic, 0, Tuple(p), &out);
+  DeliverAll(logic, probes, span, &out);
   logic.OnFinish(0, &out);
   EXPECT_TRUE(logic.error().ok()) << logic.error().ToString();
   return out.take_sorted();
@@ -98,12 +114,20 @@ std::vector<Tuple> RunJoin(OperatorLogic& logic,
 
 class SpillJoinDifferentialTest : public ::testing::Test {
  protected:
-  /// The unconstrained in-memory reference (the logic the planner uses
-  /// when no budget is declared).
+  /// The expected rows, from a plain loop over the inner relation — no
+  /// engine join involved, so the oracle is independent of the logic
+  /// under test.
   std::vector<Tuple> Reference(const Relation* inner,
                                const std::vector<Tuple>& probes) {
-    PipelinedJoinLogic reference(inner, 0, 0, JoinAlgorithm::kTempIndex);
-    return RunJoin(reference, probes, nullptr);
+    const std::vector<Tuple> inner_rows = inner->Scan();
+    std::vector<Tuple> out;
+    for (const Tuple& p : probes) {
+      for (const Tuple& s : inner_rows) {
+        if (s.at(0) == p.at(0)) out.push_back(p.Concat(s));
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
   }
 };
 
@@ -117,11 +141,14 @@ TEST_F(SpillJoinDifferentialTest, UnboundedQuotaMatchesInMemoryJoin) {
   const std::vector<Tuple> expected = Reference(inner.get(), probes);
   ASSERT_FALSE(expected.empty());
 
-  MemoryQuota quota(0);  // Unlimited: tracks but never spills.
-  SpillingHashJoinLogic join(inner.get(), 0, 0);
-  EXPECT_EQ(RunJoin(join, probes, &quota), expected);
-  EXPECT_EQ(quota.used(), 0u);  // Everything released after OnFinish.
-  EXPECT_EQ(quota.high_water(), build_keys.size());  // Whole build charged.
+  for (size_t span : kSpans) {
+    MemoryQuota quota(0);  // Unlimited: tracks but never spills.
+    PipelinedJoinLogic join(inner.get(), 0, 0, JoinAlgorithm::kTempIndex);
+    EXPECT_EQ(RunJoin(join, probes, span, &quota), expected)
+        << "span=" << span;
+    EXPECT_EQ(quota.used(), 0u);  // Everything released after OnFinish.
+    EXPECT_EQ(quota.high_water(), build_keys.size());  // Whole build.
+  }
 }
 
 TEST_F(SpillJoinDifferentialTest, TinyBudgetsSpillAndStayByteIdentical) {
@@ -135,22 +162,24 @@ TEST_F(SpillJoinDifferentialTest, TinyBudgetsSpillAndStayByteIdentical) {
   ASSERT_FALSE(expected.empty());
 
   const int64_t live_before = SpillFile::live_files();
-  for (uint64_t budget : {uint64_t{1}, uint64_t{4}, uint64_t{32},
-                          uint64_t{1'000'000}}) {
-    MemoryQuota quota(budget);
-    MetricsRegistry metrics;
-    SpillingHashJoinLogic join(inner.get(), 0, 0);
-    EXPECT_EQ(RunJoin(join, probes, &quota, &metrics), expected)
-        << "budget=" << budget;
-    EXPECT_EQ(quota.used(), 0u) << "budget=" << budget;
-    // Forced-progress overshoot is bounded to O(1) units per instance.
-    EXPECT_LE(quota.high_water(), budget + 2) << "budget=" << budget;
-    MetricsSnapshot snap = metrics.Snapshot();
-    if (budget < build_keys.size()) {
-      EXPECT_GT(snap.counters["spill.bytes_written"], 0u)
-          << "budget=" << budget;
-    } else {
-      EXPECT_EQ(snap.counters["spill.bytes_written"], 0u);
+  for (size_t span : kSpans) {
+    for (uint64_t budget : {uint64_t{1}, uint64_t{4}, uint64_t{32},
+                            uint64_t{1'000'000}}) {
+      MemoryQuota quota(budget);
+      MetricsRegistry metrics;
+      PipelinedJoinLogic join(inner.get(), 0, 0, JoinAlgorithm::kTempIndex);
+      EXPECT_EQ(RunJoin(join, probes, span, &quota, &metrics), expected)
+          << "budget=" << budget << " span=" << span;
+      EXPECT_EQ(quota.used(), 0u) << "budget=" << budget;
+      // Forced-progress overshoot is bounded to O(1) units per instance.
+      EXPECT_LE(quota.high_water(), budget + 2) << "budget=" << budget;
+      MetricsSnapshot snap = metrics.Snapshot();
+      if (budget < build_keys.size()) {
+        EXPECT_GT(snap.counters["spill.bytes_written"], 0u)
+            << "budget=" << budget;
+      } else {
+        EXPECT_EQ(snap.counters["spill.bytes_written"], 0u);
+      }
     }
   }
   EXPECT_EQ(SpillFile::live_files(), live_before);
@@ -168,11 +197,14 @@ TEST_F(SpillJoinDifferentialTest, HotKeySkewFallsBackToNestedLoop) {
   const std::vector<Tuple> expected = Reference(inner.get(), probes);
   ASSERT_EQ(expected.size(), 200u * 50u);
 
-  MemoryQuota quota(2);
-  SpillingHashJoinLogic join(inner.get(), 0, 0);
-  EXPECT_EQ(RunJoin(join, probes, &quota), expected);
-  EXPECT_EQ(quota.used(), 0u);
-  EXPECT_LE(quota.high_water(), 2u + 2u);
+  for (size_t span : kSpans) {
+    MemoryQuota quota(2);
+    PipelinedJoinLogic join(inner.get(), 0, 0, JoinAlgorithm::kTempIndex);
+    EXPECT_EQ(RunJoin(join, probes, span, &quota), expected)
+        << "span=" << span;
+    EXPECT_EQ(quota.used(), 0u);
+    EXPECT_LE(quota.high_water(), 2u + 2u);
+  }
 }
 
 TEST_F(SpillJoinDifferentialTest, ZipfSkewAcrossBudgets) {
@@ -190,18 +222,21 @@ TEST_F(SpillJoinDifferentialTest, ZipfSkewAcrossBudgets) {
   const std::vector<Tuple> expected = Reference(inner.get(), probes);
   ASSERT_FALSE(expected.empty());
 
-  for (uint64_t budget : {uint64_t{3}, uint64_t{17}, uint64_t{64}}) {
-    MemoryQuota quota(budget);
-    SpillingHashJoinLogic join(inner.get(), 0, 0);
-    EXPECT_EQ(RunJoin(join, probes, &quota), expected)
-        << "budget=" << budget;
-    EXPECT_EQ(quota.used(), 0u);
+  for (size_t span : kSpans) {
+    for (uint64_t budget : {uint64_t{3}, uint64_t{17}, uint64_t{64}}) {
+      MemoryQuota quota(budget);
+      PipelinedJoinLogic join(inner.get(), 0, 0, JoinAlgorithm::kTempIndex);
+      EXPECT_EQ(RunJoin(join, probes, span, &quota), expected)
+          << "budget=" << budget << " span=" << span;
+      EXPECT_EQ(quota.used(), 0u);
+    }
   }
 }
 
-TEST_F(SpillJoinDifferentialTest, LowFanoutForcesDeepRecursion) {
-  // Fanout 2 with a 500-row build and budget 4 recurses several levels
-  // before partitions fit; results must still be exact.
+TEST_F(SpillJoinDifferentialTest, TinyBudgetForcesRecursion) {
+  // A 500-row build under budget 4: a spilled partition (~60 rows) cannot
+  // reload, so OnFinish repartitions it, level by level, until the pieces
+  // fit; results must still be exact.
   Rng rng(23);
   std::vector<int64_t> build_keys, probe_keys;
   for (int i = 0; i < 500; ++i) build_keys.push_back(rng.Range(0, 250));
@@ -210,15 +245,15 @@ TEST_F(SpillJoinDifferentialTest, LowFanoutForcesDeepRecursion) {
   const std::vector<Tuple> probes = MakeProbes(probe_keys);
   const std::vector<Tuple> expected = Reference(inner.get(), probes);
 
-  SpillJoinOptions options;
-  options.fanout = 2;
-  options.max_recursion = 3;
-  MemoryQuota quota(4);
-  MetricsRegistry metrics;
-  SpillingHashJoinLogic join(inner.get(), 0, 0, options);
-  EXPECT_EQ(RunJoin(join, probes, &quota, &metrics), expected);
-  EXPECT_GT(metrics.Snapshot().counters["spill.recursions"], 0u);
-  EXPECT_EQ(quota.used(), 0u);
+  for (size_t span : kSpans) {
+    MemoryQuota quota(4);
+    MetricsRegistry metrics;
+    PipelinedJoinLogic join(inner.get(), 0, 0, JoinAlgorithm::kTempIndex);
+    EXPECT_EQ(RunJoin(join, probes, span, &quota, &metrics), expected)
+        << "span=" << span;
+    EXPECT_GT(metrics.Snapshot().counters["spill.recursions"], 0u);
+    EXPECT_EQ(quota.used(), 0u);
+  }
 }
 
 TEST_F(SpillJoinDifferentialTest,
@@ -235,23 +270,30 @@ TEST_F(SpillJoinDifferentialTest,
 
   const int64_t live_before = SpillFile::live_files();
   // A budget just under the build size: most partitions stay resident
-  // (and hold charges) while at least one spills (and opens files).
-  MemoryQuota quota(280);
-  {
-    SpillingHashJoinLogic join(inner.get(), 0, 0);
-    ExecResources resources;
-    resources.quota = &quota;
-    join.BindExecution(resources);
-    ASSERT_TRUE(join.Prepare(1).ok());
-    CapturingEmitter out;
-    // Build happens on first data; deferred probes open probe files.
-    for (const Tuple& p : probes) Deliver(join, 0, Tuple(p), &out);
-    EXPECT_GT(SpillFile::live_files(), live_before);  // Mid-spill state.
-    EXPECT_GT(quota.used(), 0u);
-    // No OnFinish: the dtor is the cancel path.
+  // (and hold charges) while at least one spills (and opens files). A
+  // budget over it holds the in-place build's whole charge.
+  for (uint64_t budget : {uint64_t{280}, uint64_t{1'000}}) {
+    for (size_t span : kSpans) {
+      MemoryQuota quota(budget);
+      {
+        PipelinedJoinLogic join(inner.get(), 0, 0, JoinAlgorithm::kTempIndex);
+        ExecResources resources;
+        resources.quota = &quota;
+        join.BindExecution(resources);
+        ASSERT_TRUE(join.Prepare(1).ok());
+        CapturingEmitter out;
+        // Build happens on first data; deferred probes open probe files.
+        DeliverAll(join, probes, span, &out);
+        if (budget < build_keys.size()) {
+          EXPECT_GT(SpillFile::live_files(), live_before);  // Mid-spill.
+        }
+        EXPECT_GT(quota.used(), 0u);
+        // No OnFinish: the dtor is the cancel path.
+      }
+      EXPECT_EQ(quota.used(), 0u) << "budget=" << budget;
+      EXPECT_EQ(SpillFile::live_files(), live_before);
+    }
   }
-  EXPECT_EQ(quota.used(), 0u);
-  EXPECT_EQ(SpillFile::live_files(), live_before);
 }
 
 // --------------------------------------------------------------- GroupBy
@@ -460,6 +502,114 @@ TEST(SpillJoinEndToEndTest, SortOverTinyBudgetFailsWithResourceExhausted) {
   options.memory_units = 4'096;
   auto ok = ExecuteEsql(db, "SELECT * FROM r ORDER BY v", options);
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+}
+
+/// A and B of the facade and nested-loop cases: 3,000 probe rows over
+/// keys 0..399 and a 2,000-row build side partitioned on its key.
+void AddJoinPair(Database& db) {
+  Rng rng(53);
+  auto a = std::make_unique<Relation>(
+      "A", Schema({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}}), 1,
+      Partitioner(PartitionKind::kModulo, 4));
+  for (int i = 0; i < 3'000; ++i) {
+    ASSERT_TRUE(
+        a->Insert(Tuple({Value(rng.Range(0, 400)), Value(rng.Range(0, 9))}))
+            .ok());
+  }
+  auto b = std::make_unique<Relation>(
+      "B", Schema({{"k", ValueType::kInt64}, {"g", ValueType::kInt64}}), 0,
+      Partitioner(PartitionKind::kModulo, 4));
+  for (int64_t i = 0; i < 2'000; ++i) {
+    ASSERT_TRUE(b->Insert(Tuple({Value(i % 500), Value(i % 7)})).ok());
+  }
+  ASSERT_TRUE(db.AddRelation(std::move(a)).ok());
+  ASSERT_TRUE(db.AddRelation(std::move(b)).ok());
+}
+
+std::vector<Tuple> SortedRows(const Relation& result) {
+  std::vector<Tuple> rows = result.Scan();
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(SpillJoinEndToEndTest, BudgetedFacadeJoinsChargeAndSpill) {
+  // The facade's AssocJoin and FilterJoin run the same quota-charging
+  // join as ESQL: a budget under the build side is enforced (bounded high
+  // water, spilled partitions), not just admission-charged.
+  Database db(2);
+  AddJoinPair(db);
+  const uint64_t budget = 100;
+  QueryOptions options;
+  options.schedule.total_threads = 4;
+  options.schedule.processors = 4;
+
+  using Submit = std::function<QueryHandle(const QueryOptions&)>;
+  const std::vector<std::pair<std::string, Submit>> joins = {
+      {"assoc",
+       [&](const QueryOptions& o) {
+         return SubmitAssocJoin(db, "A", "k", "B", "k", o);
+       }},
+      {"filter",
+       [&](const QueryOptions& o) {
+         return SubmitFilterJoin(db, "A", ColumnBetween(1, 0, 4), 0.5, "k",
+                                 "B", "k", o);
+       }},
+  };
+  const int64_t live_before = SpillFile::live_files();
+  for (const auto& [name, submit] : joins) {
+    options.memory_units = 0;
+    QueryHandle unbudgeted = submit(options);
+    auto reference = unbudgeted.Take();
+    ASSERT_TRUE(reference.ok()) << name << ": "
+                                << reference.status().ToString();
+    const std::vector<Tuple> expected =
+        SortedRows(*reference.value().result);
+    ASSERT_FALSE(expected.empty()) << name;
+
+    const uint64_t written_before =
+        db.metrics().Snapshot().counters["spill.bytes_written"];
+    options.memory_units = budget;
+    QueryHandle budgeted = submit(options);
+    auto taken = budgeted.Take();
+    ASSERT_TRUE(taken.ok()) << name << ": " << taken.status().ToString();
+    EXPECT_EQ(SortedRows(*taken.value().result), expected) << name;
+
+    const QueryRunStats stats = budgeted.stats();
+    EXPECT_GT(stats.quota_high_water_units, 0u) << name;
+    EXPECT_LE(stats.quota_high_water_units, budget + 2) << name;
+    EXPECT_GT(db.metrics().Snapshot().counters["spill.bytes_written"],
+              written_before)
+        << name;
+  }
+  EXPECT_EQ(SpillFile::live_files(), live_before);
+}
+
+TEST(SpillJoinEndToEndTest, BudgetedEsqlKeepsNestedLoop) {
+  // EsqlOptions::algorithm is honoured under a budget: the nested-loop
+  // join holds no build state, so a budget far under the build side
+  // charges nothing and spills nothing, and the rows match the hash join.
+  Database db(2);
+  AddJoinPair(db);
+  const std::string query = "SELECT * FROM A JOIN B ON A.k = B.k";
+  EsqlOptions options;
+  options.schedule.total_threads = 4;
+  options.schedule.processors = 4;
+  auto reference = ExecuteEsql(db, query, options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const std::vector<Tuple> expected = SortedRows(*reference.value().result);
+  ASSERT_FALSE(expected.empty());
+
+  const uint64_t written_before =
+      db.metrics().Snapshot().counters["spill.bytes_written"];
+  options.algorithm = JoinAlgorithm::kNestedLoop;
+  options.memory_units = 16;
+  QueryHandle handle = SubmitEsql(db, query, options);
+  auto taken = handle.Take();
+  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+  EXPECT_EQ(SortedRows(*taken.value().result), expected);
+  EXPECT_EQ(handle.stats().quota_high_water_units, 0u);
+  EXPECT_EQ(db.metrics().Snapshot().counters["spill.bytes_written"],
+            written_before);
 }
 
 }  // namespace

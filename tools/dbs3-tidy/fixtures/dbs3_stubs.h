@@ -2,13 +2,14 @@
 #define DBS3_TOOLS_TIDY_FIXTURES_DBS3_STUBS_H_
 
 // Minimal stand-ins for the engine types the dbs3-tidy fixtures exercise.
-// Just enough surface that every fixture compiles as plain C++17 with no
+// Just enough surface that every fixture compiles as plain C++20 with no
 // engine headers — the clang-tidy plugin runs the same fixtures through a
 // real frontend, and checks match on *names* (Emit, PopBatch, TryCharge,
 // GUARDED_BY, ...), so behavioral fidelity is irrelevant here.
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #ifndef GUARDED_BY

@@ -6,13 +6,13 @@
 
 namespace dbs3 {
 
-class ArenaBackedOnData {
+class ArenaBackedOnDataBatch {
  public:
-  void OnData(size_t instance, Tuple tuple, Emitter* out) {
+  void OnDataBatch(size_t instance, std::span<Tuple> tuples, Emitter* out) {
     // Growth through the arena is the sanctioned path: its chunks are
     // recycled, so the kernel stays free of per-tuple heap traffic.
-    arena_->scratch()->push_back(tuple);
-    out->Emit(instance, tuple);
+    arena_->scratch()->push_back(tuples[0]);
+    out->Emit(instance, tuples[0]);
   }
 
  private:
@@ -21,9 +21,9 @@ class ArenaBackedOnData {
 
 class PoolReceiverOnDataBatch {
  public:
-  void OnDataBatch(size_t n, Tuple* tuples, Emitter* out) {
-    for (size_t i = 0; i < n; ++i) chunk_pool_.push_back(tuples[i]);
-    out->Emit(0, tuples[0]);
+  void OnDataBatch(size_t instance, std::span<Tuple> tuples, Emitter* out) {
+    for (const Tuple& t : tuples) chunk_pool_.push_back(t);
+    out->Emit(instance, tuples[0]);
   }
 
  private:

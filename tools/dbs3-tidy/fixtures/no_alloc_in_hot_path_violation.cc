@@ -6,11 +6,11 @@
 
 namespace dbs3 {
 
-class GrowingScratchInOnData {
+class GrowingScratchInOnDataBatch {
  public:
-  void OnData(size_t instance, Tuple tuple, Emitter* out) {
-    scratch_.push_back(tuple);  // DBS3-TIDY: dbs3-no-alloc-in-hot-path
-    out->Emit(instance, tuple);
+  void OnDataBatch(size_t instance, std::span<Tuple> tuples, Emitter* out) {
+    scratch_.push_back(tuples[0]);  // DBS3-TIDY: dbs3-no-alloc-in-hot-path
+    out->Emit(instance, tuples[0]);
   }
 
  private:
@@ -19,10 +19,11 @@ class GrowingScratchInOnData {
 
 class HeapNewInBatchKernel {
  public:
-  void OnDataBatch(size_t n, Tuple* tuples, Emitter* out) {
+  void OnDataBatch(size_t instance, std::span<Tuple> tuples, Emitter* out) {
+    const size_t n = tuples.size();
     int* counters = new int[n];  // DBS3-TIDY: dbs3-no-alloc-in-hot-path
     for (size_t i = 0; i < n; ++i) counters[i] = 0;
-    out->Emit(0, tuples[0]);
+    out->Emit(instance, tuples[0]);
     delete[] counters;
   }
 };

@@ -15,9 +15,9 @@ namespace dbs3_tidy {
 namespace {
 
 AST_MATCHER(FunctionDecl, isHotPathFunction) {
-  static const char* kNames[] = {"OnData",      "OnDataBatch", "Probe",
-                                 "ProbeKeys",   "ProbeHashed", "EvalPredAll",
-                                 "EvalRow",     "HashColumn",  "EmitTagged"};
+  static const char* kNames[] = {"OnDataBatch", "Probe",       "ProbeKeys",
+                                 "ProbeHashed", "EvalPredAll", "EvalRow",
+                                 "HashColumn",  "EmitTagged"};
   const auto Name = Node.getNameAsString();
   for (const char* N : kNames) {
     if (Name == N) return true;

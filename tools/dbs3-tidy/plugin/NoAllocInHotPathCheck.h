@@ -6,7 +6,7 @@
 namespace dbs3_tidy {
 
 /// dbs3-no-alloc-in-hot-path: functions on the per-tuple kernel surface
-/// (OnData, OnDataBatch, Probe/ProbeKeys/ProbeHashed, EvalPredAll, EvalRow,
+/// (OnDataBatch, Probe/ProbeKeys/ProbeHashed, EvalPredAll, EvalRow,
 /// HashColumn, EmitTagged — the shared scan's tagged-emit path) must not
 /// reach operator new, malloc-family calls, or growing
 /// container methods — except through ChunkPool / Arena receivers, the

@@ -43,7 +43,7 @@ def actual_findings(clang_tidy: str, plugin: str, fixture: pathlib.Path,
         "-checks=-*,dbs3-*",
         str(fixture),
         "--",
-        "-std=c++17",
+        "-std=c++20",
         f"-I{include_dir}",
         # Map GUARDED_BY onto the clang attribute so the plugin's
         # AST-level check sees what -Wthread-safety builds see.

@@ -383,8 +383,8 @@ void CheckNoLockAcrossEmit(const ScopedSource& ss, std::vector<Diag>* out) {
 
 const std::set<std::string>& HotPathNames() {
   static const std::set<std::string> names = {
-      "OnData",      "OnDataBatch", "Probe",   "ProbeKeys",  "ProbeHashed",
-      "EvalPredAll", "EvalRow",     "HashColumn", "EmitTagged"};
+      "OnDataBatch", "Probe",   "ProbeKeys",  "ProbeHashed",
+      "EvalPredAll", "EvalRow", "HashColumn", "EmitTagged"};
   return names;
 }
 

@@ -20,9 +20,8 @@
 //                               Emit/Push* — bounded ActivationQueues block
 //                               under back-pressure; holding a lock there
 //                               is the engine's canonical deadlock shape.
-//  dbs3-no-alloc-in-hot-path    Kernel-surface functions (OnData,
-//                               OnDataBatch, Probe*, EvalPredAll,
-//                               EmitTagged, ...)
+//  dbs3-no-alloc-in-hot-path    Kernel-surface functions (OnDataBatch,
+//                               Probe*, EvalPredAll, EmitTagged, ...)
 //                               must not reach operator new / malloc or
 //                               growing container calls except through
 //                               ChunkPool / Arena receivers.
