@@ -1,10 +1,10 @@
 // check_dbs3_tidy: fixture-driven regression tests for the dbs3-tidy
-// checks (portable engine). Every `*_violation.cc` fixture seeds findings
-// annotated in place with `// DBS3-TIDY: <check-name>`; its `*_clean.cc`
-// twin rebuilds the same shapes conformingly and must stay silent. The
-// annotations are the contract shared with the clang-tidy plugin (see
-// plugin/run_fixture_tests.py), so a check whose behavior drifts fails
-// here before it reaches CI.
+// checks. Every `*_violation.cc` fixture seeds findings annotated in place
+// with `// DBS3-TIDY: <check-name>`; its `*_clean.cc` twin rebuilds the
+// same shapes conformingly and must stay silent. The annotations are the
+// checks' contract, so a check whose behavior drifts fails here before it
+// reaches the dbs3_tidy_src_scan gate. The CLI's exit codes are pinned
+// separately by cli_exit_codes.cmake.
 
 #include <fstream>
 #include <map>
@@ -190,6 +190,34 @@ TEST(Dbs3TidyCorpusTest, OutOfLineConstructorResolvesAcrossFiles) {
   std::vector<TidySource> header_only;
   header_only.emplace_back("runtime.h", header);
   EXPECT_EQ(RunChecks(header_only, {kGuardedMemberInit}).size(), 1u);
+}
+
+TEST(Dbs3TidyCorpusTest, EnumsAndAliasesResolveAcrossFiles) {
+  // The scalar judgment sees every enum and alias in the corpus, whatever
+  // file declares it and in whatever order an alias chain is spelled.
+  const std::string types =
+      "using Tick = Micros;\n"
+      "using Micros = long;\n"
+      "namespace q { enum class Mode { kA }; }\n";
+  const std::string header =
+      "class Holder {\n"
+      "  Mutex mu_;\n"
+      "  Tick tick_ GUARDED_BY(mu_);\n"
+      "  q::Mode mode_ GUARDED_BY(mu_);\n"
+      "};\n";
+  std::vector<TidySource> corpus;
+  corpus.emplace_back("types.h", types);
+  corpus.emplace_back("holder.h", header);
+  std::set<int> lines;
+  for (const Diag& d : RunChecks(corpus, {kGuardedMemberInit})) {
+    lines.insert(d.line);
+  }
+  EXPECT_EQ(lines, (std::set<int>{3, 4}));
+
+  // Alone, the header names no type the check can prove scalar.
+  std::vector<TidySource> header_only;
+  header_only.emplace_back("holder.h", header);
+  EXPECT_TRUE(RunChecks(header_only, {kGuardedMemberInit}).empty());
 }
 
 TEST(Dbs3TidyCorpusTest, CheckFilterRunsOnlyTheNamedChecks) {

@@ -73,7 +73,7 @@ Status ReplaySpilledBatchChecked(SpillFile* file, Operation* sinks,
   std::vector<Tuple> chunk;
   while (file->ReadChunk(&chunk)) {
     if (cancel.cancelled()) return Status::OK();
-    for (const Tuple& t : chunk) sinks->PushData(0, t);
+    sinks->PushDataChunk(0, chunk);
     chunk.clear();
   }
   return Status::OK();

@@ -62,7 +62,7 @@ void WorkerLoopWithoutToken(Operation* op) {
 Status ReplaySpilledBatch(SpillFile* file, Operation* sinks) {
   std::vector<Tuple> chunk;
   while (file->ReadChunk(&chunk)) {  // DBS3-TIDY: dbs3-cancel-check-in-consume-loop
-    for (const Tuple& t : chunk) sinks->PushData(0, t);
+    sinks->PushDataChunk(0, chunk);
     chunk.clear();
   }
   return Status::OK();

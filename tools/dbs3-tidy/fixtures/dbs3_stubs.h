@@ -3,9 +3,9 @@
 
 // Minimal stand-ins for the engine types the dbs3-tidy fixtures exercise.
 // Just enough surface that every fixture compiles as plain C++20 with no
-// engine headers — the clang-tidy plugin runs the same fixtures through a
-// real frontend, and checks match on *names* (Emit, PopBatch, TryCharge,
-// GUARDED_BY, ...), so behavioral fidelity is irrelevant here.
+// engine headers, so each fixture stays valid code. The checks match on
+// *names* (Emit, PopBatch, TryCharge, GUARDED_BY, ...), so behavioral
+// fidelity is irrelevant here.
 
 #include <cstddef>
 #include <cstdint>
@@ -68,7 +68,6 @@ class ActivationQueue {
 
 class Operation {
  public:
-  void PushData(size_t, Tuple) {}
   void PushDataChunk(size_t, std::vector<Tuple>) {}
   void PushTrigger(size_t) {}
   /// The worker-loop acquisition (batch of activations under one queue

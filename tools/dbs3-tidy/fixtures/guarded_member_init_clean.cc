@@ -16,6 +16,13 @@ class InClassInitializers {
   Tuple* head_ GUARDED_BY(mu_) = nullptr;
 };
 
+// The first member after an access specifier, initialized.
+class GuardedMemberFirstInSection {
+ private:
+  size_t pending_ GUARDED_BY(mu_) = 0;
+  Mutex mu_;
+};
+
 // An in-class constructor init list covers the member.
 class InClassConstructor {
  public:
@@ -47,6 +54,23 @@ class NonScalarGuardedMember {
  private:
   Mutex mu_;
   std::vector<Tuple> rows_ GUARDED_BY(mu_);
+};
+
+// Scalars behind a name, initialized at the declaration; an alias of a
+// class type stays out of scope like the class type itself.
+enum class Phase { kIdle, kRunning };
+using Micros = int64_t;
+typedef uint32_t Epoch;
+using Rows = std::vector<Tuple>;
+
+class ScalarsBehindANameInitialized {
+ private:
+  Mutex mu_;
+  std::size_t reserved_ GUARDED_BY(mu_) = 0;
+  Phase phase_ GUARDED_BY(mu_) = Phase::kIdle;
+  Micros waited_ GUARDED_BY(mu_) = 0;
+  Epoch epoch_ GUARDED_BY(mu_) = 0;
+  Rows rows_ GUARDED_BY(mu_);
 };
 
 }  // namespace dbs3

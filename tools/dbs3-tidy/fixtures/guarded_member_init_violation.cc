@@ -33,4 +33,27 @@ class UninitializedGuardedPointer {
   Tuple* head_ GUARDED_BY(mu_);  // DBS3-TIDY: dbs3-guarded-member-init
 };
 
+// The first member after an access specifier is judged like any other.
+class GuardedMemberFirstInSection {
+ private:
+  size_t pending_ GUARDED_BY(mu_);  // DBS3-TIDY: dbs3-guarded-member-init
+  Mutex mu_;
+};
+
+// Scalars behind a name: a std::-qualified type, an enum and aliases of a
+// scalar are judged by what they name, wherever in the corpus the enum or
+// alias is declared.
+enum class Phase { kIdle, kRunning };
+using Micros = int64_t;
+typedef uint32_t Epoch;
+
+class ScalarsBehindAName {
+ private:
+  Mutex mu_;
+  std::size_t reserved_ GUARDED_BY(mu_);  // DBS3-TIDY: dbs3-guarded-member-init
+  Phase phase_ GUARDED_BY(mu_);  // DBS3-TIDY: dbs3-guarded-member-init
+  Micros waited_ GUARDED_BY(mu_);  // DBS3-TIDY: dbs3-guarded-member-init
+  Epoch epoch_ GUARDED_BY(mu_);  // DBS3-TIDY: dbs3-guarded-member-init
+};
+
 }  // namespace dbs3

@@ -1,13 +1,15 @@
-// dbs3-tidy, portable edition: runs the five DBS3 invariant checks over a
-// set of C++ sources and prints clang-tidy-style diagnostics.
+// dbs3-tidy: runs the five DBS3 invariant checks over a set of C++ sources
+// and prints clang-tidy-style diagnostics.
 //
 //   dbs3_tidy [--checks=a,b] [--list-checks] path [path ...]
 //
 // A directory argument is scanned recursively for *.h / *.cc. Exit status:
-// 0 clean, 1 findings, 2 usage/IO error. All files given on one invocation
-// are analyzed as a single corpus — pass headers together with their .cc
-// files so dbs3-guarded-member-init can resolve out-of-line constructor
-// init lists.
+// 0 clean, 1 findings, 2 usage error (unknown option or check name, no
+// path) or unreadable path; tools/dbs3-tidy/cli_exit_codes.cmake pins
+// these codes. All files given on one invocation are analyzed as a single
+// corpus — pass headers together with their .cc files so
+// dbs3-guarded-member-init can resolve out-of-line constructor init lists
+// and the enums and aliases that make a member type scalar.
 
 #include <algorithm>
 #include <filesystem>
@@ -58,10 +60,18 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (arg.rfind("--checks=", 0) == 0) {
+      // Fail closed: a misspelled name would otherwise run no check at all
+      // and report a clean tree.
+      const std::vector<std::string> known = dbs3_tidy::AllCheckNames();
       std::istringstream names(arg.substr(9));
       std::string name;
       while (std::getline(names, name, ',')) {
-        if (!name.empty()) enabled.insert(name);
+        if (name.empty()) continue;
+        if (std::find(known.begin(), known.end(), name) == known.end()) {
+          std::cerr << "dbs3_tidy: unknown check '" << name << "'\n";
+          return 2;
+        }
+        enabled.insert(name);
       }
       continue;
     }

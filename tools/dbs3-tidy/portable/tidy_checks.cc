@@ -82,7 +82,6 @@ class ScopedSource {
     return best;
   }
 
- private:
   // Walks back from `j` over one constructor-init-list worth of tokens
   // (identifiers, ::, commas, template args, balanced () {} groups).
   // Returns the index of the introducing ':' when the shape matches an
@@ -127,6 +126,7 @@ class ScopedSource {
     return TidySource::npos;
   }
 
+ private:
   std::string FunctionNameBefore(size_t open_paren) const {
     const auto& toks = src_.tokens();
     if (open_paren == 0) return "";
@@ -364,7 +364,7 @@ void CheckNoLockAcrossEmit(const ScopedSource& ss, std::vector<Diag>* out) {
       continue;
     }
     // Emit-family call while a lock is held.
-    if (TextIn(t, {"Emit", "EmitCopy", "EmitConcat", "EmitSelect", "PushData",
+    if (TextIn(t, {"Emit", "EmitCopy", "EmitConcat", "EmitSelect",
                    "PushDataChunk", "PushTrigger"}) &&
         IsCall(toks, i) && (!raii.empty() || !manual.empty())) {
       const HeldLock& held = !raii.empty() ? raii.back() : manual.begin()->second;
@@ -642,145 +642,125 @@ const std::set<std::string>& ScalarTypeNames() {
   return names;
 }
 
+/// What the scalar judgment needs of a declared type: its first type name
+/// with a leading access specifier, cv/storage keywords and namespace/class
+/// qualifiers stripped (`private: const std::size_t` -> `size_t`,
+/// `Outer::Phase` -> `Phase`), and whether the declarator ends in a pointer.
+struct TypeRef {
+  std::string name;
+  bool pointer = false;
+};
+
+/// Reads the type spelled by tokens [begin, end).
+TypeRef ReadType(const std::vector<Token>& toks, size_t begin, size_t end) {
+  TypeRef ref;
+  if (begin >= end) return ref;
+  ref.pointer = toks[end - 1].kind == Kind::kPunct && toks[end - 1].text == "*";
+  size_t i = begin;
+  if (i + 1 < end && TextIn(toks[i], {"public", "private", "protected"}) &&
+      toks[i + 1].text == ":") {
+    i += 2;
+  }
+  while (i < end && toks[i].kind == Kind::kIdent &&
+         TextIn(toks[i], {"const", "mutable", "static", "volatile", "inline"})) {
+    ++i;
+  }
+  while (i < end) {
+    if (toks[i].kind == Kind::kPunct && toks[i].text == "::") {
+      ++i;
+    } else if (toks[i].kind == Kind::kIdent && i + 1 < end &&
+               toks[i + 1].kind == Kind::kPunct && toks[i + 1].text == "::") {
+      i += 2;
+    } else {
+      break;
+    }
+  }
+  if (i < end && toks[i].kind == Kind::kIdent) ref.name = toks[i].text;
+  return ref;
+}
+
 struct GuardedMember {
   std::string class_name;
   std::string member;
   std::string file;
   int line;
+  TypeRef type;
 };
 
-/// Collects scalar GUARDED_BY members lacking in-class initializers, and
-/// every constructor-init-list region of every class, across one source.
+/// Collects GUARDED_BY members lacking in-class initializers, every
+/// constructor init list of every class, and the enum and alias
+/// declarations that decide which member types are scalar, across one
+/// source.
 struct MemberScan {
   std::vector<GuardedMember> uninitialized;
-  /// class name -> declared-a-constructor (even `= default` counts).
-  std::map<std::string, bool> has_ctor_decl;
   /// class name -> member names initialized in some ctor init list.
   std::map<std::string, std::set<std::string>> ctor_inits;
+  /// `enum` / `enum class` names: scalar by definition.
+  std::set<std::string> enums;
+  /// `using X = T;` / `typedef T X;`: alias name -> aliased type.
+  std::map<std::string, TypeRef> aliases;
 };
+
+/// Records the enum and alias declarations of one source.
+void ScanTypeNames(const ScopedSource& ss, MemberScan* scan) {
+  const auto& toks = ss.tokens();
+  const auto statement_end = [&](size_t from) {
+    size_t k = from;
+    while (k < toks.size() &&
+           !(toks[k].kind == Kind::kPunct &&
+             TextIn(toks[k], {";", "{", "}"}))) {
+      ++k;
+    }
+    return k;
+  };
+  for (size_t i = 0; i < toks.size(); ++i) {
+    if (toks[i].kind != Kind::kIdent) continue;
+    if (toks[i].text == "enum") {
+      size_t k = i + 1;
+      if (k < toks.size() && TextIn(toks[k], {"class", "struct"})) ++k;
+      if (k < toks.size() && toks[k].kind == Kind::kIdent) {
+        scan->enums.insert(toks[k].text);
+      }
+    } else if (toks[i].text == "using" && i + 2 < toks.size() &&
+               toks[i + 1].kind == Kind::kIdent &&
+               toks[i + 2].kind == Kind::kPunct && toks[i + 2].text == "=") {
+      scan->aliases[toks[i + 1].text] =
+          ReadType(toks, i + 3, statement_end(i + 3));
+    } else if (toks[i].text == "typedef") {
+      const size_t end = statement_end(i + 1);
+      if (end < toks.size() && toks[end].text == ";" && end >= i + 3 &&
+          toks[end - 1].kind == Kind::kIdent) {
+        scan->aliases[toks[end - 1].text] = ReadType(toks, i + 1, end - 1);
+      }
+    }
+  }
+}
 
 void ScanMembers(const ScopedSource& ss, MemberScan* scan) {
   const auto& toks = ss.tokens();
 
-  // Constructor init lists, both in-class and out-of-line: find
-  // `Name (args) : inits... {` where a preceding `Name ::` or an enclosing
-  // class scope of the same name marks it as a constructor of Name.
+  // Constructor init lists, both in-class (`Name(args) : inits {` inside
+  // class Name) and out-of-line (`Name::Name(args) : inits {`). Every
+  // `ident (` / `ident {` between the ':' and the body records an
+  // initialized member.
   for (const Scope& fn : ss.scopes()) {
     if (fn.kind != Scope::Kind::kFunction || fn.name.empty()) continue;
-    std::string owner;
+    const size_t colon = ss.InitListIntro(fn.open - 1);
+    if (colon == TidySource::npos) continue;
     const size_t cls = ss.InnermostOfKind(fn.open, {Scope::Kind::kClass});
-    if (cls != TidySource::npos && ss.scopes()[cls].name == fn.name) {
-      owner = fn.name;  // In-class constructor definition.
-    }
-    // Out-of-line: `Foo::Foo(...)`. Find the signature open paren: first
-    // '(' after the name going backward from the body; easier forward from
-    // keyword: locate tokens `fn.name` `::`? Walk back from fn.open.
-    if (owner.empty()) {
-      // Find the signature '(' by scanning back from the body '{' over the
-      // init list (if any).
-      size_t j = fn.open - 1;
-      while (j > 0 &&
-             !(toks[j].kind == Kind::kPunct && toks[j].text == ")")) {
-        if (toks[j].kind == Kind::kPunct &&
-            (toks[j].text == "}" || toks[j].text == "]")) {
-          const size_t o = ss.src().MatchingBracket(j);
-          if (o == TidySource::npos || o == 0) break;
-          j = o;
-        }
-        --j;
-      }
-      size_t sig_close = j;
-      size_t sig_open = ss.src().MatchingBracket(sig_close);
-      // Walk further back when this `)` closes a trailing initializer
-      // rather than the signature: `Foo::Foo(int x) : a_(x) {`.
-      while (sig_open != TidySource::npos && sig_open > 1) {
-        const Token& before = toks[sig_open - 1];
-        if (before.kind == Kind::kIdent && before.text == fn.name &&
-            sig_open >= 2 && toks[sig_open - 2].kind == Kind::kPunct &&
-            toks[sig_open - 2].text == "::" && sig_open >= 3 &&
-            toks[sig_open - 3].kind == Kind::kIdent &&
-            toks[sig_open - 3].text == fn.name) {
-          owner = fn.name;
-          break;
-        }
-        // Step past one more initializer group leftward.
-        size_t k = sig_open - 1;
-        while (k > 0 &&
-               !(toks[k].kind == Kind::kPunct && toks[k].text == ")")) {
-          if (toks[k].kind == Kind::kPunct &&
-              (toks[k].text == "}" || toks[k].text == "]")) {
-            const size_t o = ss.src().MatchingBracket(k);
-            if (o == TidySource::npos || o == 0) {
-              k = 0;
-              break;
-            }
-            k = o;
-          }
-          --k;
-        }
-        if (k == 0) break;
-        sig_close = k;
-        sig_open = ss.src().MatchingBracket(sig_close);
-      }
-    }
-    if (owner.empty()) continue;
-    scan->has_ctor_decl[owner] = true;
-    // Init region: signature close .. body open. Every `ident (` / `ident {`
-    // at init-list position records an initialized member.
-    size_t sig_close = fn.open - 1;  // Recompute forward for simplicity.
-    // Find the ':' introducing the init list by walking back as above.
-    for (size_t k = fn.open - 1; k > 0; --k) {
-      const Token& t = toks[k];
-      if (t.kind == Kind::kPunct && (t.text == "}" || t.text == ")")) {
-        const size_t o = ss.src().MatchingBracket(k);
-        if (o == TidySource::npos || o == 0) break;
-        k = o;
-        continue;
-      }
-      if (t.kind == Kind::kPunct && t.text == ":") {
-        sig_close = k;
-        break;
-      }
-      if (t.kind == Kind::kPunct && (t.text == ";" || t.text == "{")) break;
-    }
-    for (size_t k = sig_close; k < fn.open; ++k) {
-      if (toks[k].kind == Kind::kIdent && k + 1 < toks.size() &&
-          toks[k + 1].kind == Kind::kPunct &&
+    const size_t sig_open = ss.src().MatchingBracket(colon - 1);
+    const bool in_class =
+        cls != TidySource::npos && ss.scopes()[cls].name == fn.name;
+    const bool out_of_line = sig_open != TidySource::npos && sig_open >= 3 &&
+                             toks[sig_open - 2].text == "::" &&
+                             toks[sig_open - 3].text == fn.name;
+    if (!in_class && !out_of_line) continue;
+    for (size_t k = colon + 1; k < fn.open; ++k) {
+      if (toks[k].kind == Kind::kIdent && toks[k + 1].kind == Kind::kPunct &&
           (toks[k + 1].text == "(" || toks[k + 1].text == "{")) {
-        scan->ctor_inits[owner].insert(toks[k].text);
+        scan->ctor_inits[fn.name].insert(toks[k].text);
         const size_t m = ss.src().MatchingBracket(k + 1);
         if (m != TidySource::npos) k = m;
-      }
-    }
-  }
-
-  // Constructor *declarations* without bodies still count as "class has a
-  // constructor" (including `Foo() = default;`): member-level `Name (...)`
-  // inside class Name.
-  for (const Scope& cls : ss.scopes()) {
-    if (cls.kind != Scope::Kind::kClass || cls.name.empty()) continue;
-    for (size_t i = cls.open + 1; i < cls.close; ++i) {
-      // Skip nested scopes.
-      if (toks[i].kind == Kind::kPunct && toks[i].text == "{") {
-        const size_t m = ss.src().MatchingBracket(i);
-        if (m != TidySource::npos) i = m;
-        continue;
-      }
-      if (toks[i].kind == Kind::kIdent && toks[i].text == cls.name &&
-          IsCall(toks, i) &&
-          (i == cls.open + 1 ||
-           (toks[i - 1].kind == Kind::kPunct &&
-            TextIn(toks[i - 1], {";", "{", "}", ":", "~"})) ||
-           (toks[i - 1].kind == Kind::kIdent &&
-            TextIn(toks[i - 1], {"explicit", "constexpr", "public",
-                                 "private", "protected"})))) {
-        if (i > 0 && toks[i - 1].kind == Kind::kPunct &&
-            toks[i - 1].text == "~") {
-          continue;  // Destructor.
-        }
-        scan->has_ctor_decl[cls.name] = true;
-        const size_t m = ss.src().MatchingBracket(i + 1);
-        if (m != TidySource::npos) i = m;
       }
     }
   }
@@ -843,27 +823,14 @@ void ScanMembers(const ScopedSource& ss, MemberScan* scan) {
               break;
             }
           }
-          // Scalar type? Tokens before the member name form the type.
-          std::vector<size_t> type_toks(decl.begin(),
-                                        decl.begin() + (guard - 1));
-          while (!type_toks.empty() &&
-                 toks[type_toks.front()].kind == Kind::kIdent &&
-                 TextIn(toks[type_toks.front()],
-                        {"const", "mutable", "static", "volatile",
-                         "inline"})) {
-            type_toks.erase(type_toks.begin());
-          }
-          bool scalar = false;
-          if (!type_toks.empty()) {
-            const Token& first = toks[type_toks.front()];
-            const Token& last = toks[type_toks.back()];
-            scalar = (first.kind == Kind::kIdent &&
-                      ScalarTypeNames().count(first.text) > 0) ||
-                     (last.kind == Kind::kPunct && last.text == "*");
-          }
-          if (scalar && !initialized) {
-            scan->uninitialized.push_back({cls.name, member, ss.src().path(),
-                                           toks[decl[guard - 1]].line});
+          // Tokens before the member name form the type; whether it is
+          // scalar is judged once the whole corpus's enums and aliases
+          // are known.
+          if (!initialized) {
+            scan->uninitialized.push_back(
+                {cls.name, member, ss.src().path(),
+                 toks[decl[guard - 1]].line,
+                 ReadType(toks, decl.front(), decl[guard - 1])});
           }
         }
         decl.clear();
@@ -875,22 +842,34 @@ void ScanMembers(const ScopedSource& ss, MemberScan* scan) {
 }
 
 void CheckGuardedMemberInit(const std::vector<MemberScan>& scans,
-                            const std::vector<const TidySource*>& sources,
                             std::vector<Diag>* out) {
-  // Merge corpus-wide constructor knowledge, then judge each member.
-  std::map<std::string, bool> has_ctor;
+  // Merge corpus-wide constructor and type knowledge, then judge each
+  // member.
   std::map<std::string, std::set<std::string>> inits;
+  std::set<std::string> scalar = ScalarTypeNames();
+  std::map<std::string, TypeRef> aliases;
   for (const MemberScan& s : scans) {
-    for (const auto& [cls, has] : s.has_ctor_decl) {
-      has_ctor[cls] = has_ctor[cls] || has;
-    }
     for (const auto& [cls, members] : s.ctor_inits) {
       inits[cls].insert(members.begin(), members.end());
     }
+    scalar.insert(s.enums.begin(), s.enums.end());
+    aliases.insert(s.aliases.begin(), s.aliases.end());
   }
-  (void)sources;
+  // Aliases of aliases resolve in any declaration order: iterate to a
+  // fixed point.
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const auto& [name, type] : aliases) {
+      if (scalar.count(name) == 0 &&
+          (type.pointer || scalar.count(type.name) > 0)) {
+        scalar.insert(name);
+        grew = true;
+      }
+    }
+  }
   for (const MemberScan& s : scans) {
     for (const GuardedMember& m : s.uninitialized) {
+      if (!m.type.pointer && scalar.count(m.type.name) == 0) continue;
       if (inits[m.class_name].count(m.member) > 0) continue;
       out->push_back(
           {m.file, m.line, kGuardedMemberInit,
@@ -917,12 +896,8 @@ std::vector<Diag> RunChecks(const std::vector<TidySource>& sources,
   };
   std::vector<Diag> diags;
   std::vector<MemberScan> scans;
-  std::vector<const TidySource*> ptrs;
-  std::vector<ScopedSource> scoped;
-  scoped.reserve(sources.size());
-  for (const TidySource& src : sources) scoped.emplace_back(src);
-  for (size_t i = 0; i < scoped.size(); ++i) {
-    const ScopedSource& ss = scoped[i];
+  for (const TidySource& src : sources) {
+    const ScopedSource ss(src);
     if (on(kNoLockAcrossEmit)) CheckNoLockAcrossEmit(ss, &diags);
     if (on(kNoAllocInHotPath)) CheckNoAllocInHotPath(ss, &diags);
     if (on(kQuotaPairing)) CheckQuotaPairing(ss, &diags);
@@ -930,10 +905,10 @@ std::vector<Diag> RunChecks(const std::vector<TidySource>& sources,
     if (on(kGuardedMemberInit)) {
       scans.emplace_back();
       ScanMembers(ss, &scans.back());
-      ptrs.push_back(&sources[i]);
+      ScanTypeNames(ss, &scans.back());
     }
   }
-  if (on(kGuardedMemberInit)) CheckGuardedMemberInit(scans, ptrs, &diags);
+  if (on(kGuardedMemberInit)) CheckGuardedMemberInit(scans, &diags);
 
   // NOLINT filtering against the owning source.
   std::vector<Diag> kept;

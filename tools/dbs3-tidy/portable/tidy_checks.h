@@ -7,14 +7,12 @@
 
 #include "tidy_source.h"
 
-// The five DBS3 invariant checks, portable edition.
+// The five DBS3 invariant checks.
 //
-// Same check names, same semantics, same fixtures as the clang-tidy plugin
-// under ../plugin/ — this implementation trades AST fidelity for zero
-// dependencies so `check_dbs3_tidy` (and the full src/ sweep) run in any
-// environment with a C++ compiler. Where the two engines could disagree the
-// fixtures pin the common contract; the plugin may additionally catch
-// shapes the token heuristics cannot see.
+// Token heuristics rather than an AST, so the checks have no dependency
+// beyond a C++ compiler and run wherever the engine builds: the
+// check_dbs3_tidy suite and the dbs3_tidy_src_scan gate over src/. The
+// fixtures under ../fixtures/ pin each check's contract line by line.
 //
 //  dbs3-no-lock-across-emit     No dbs3::Mutex / MutexLock held across
 //                               Emit/Push* — bounded ActivationQueues block
@@ -38,7 +36,9 @@
 //  dbs3-guarded-member-init     GUARDED_BY members of scalar type must be
 //                               initialized in-class or in every reachable
 //                               constructor init list (-Wthread-safety
-//                               does not cover construction).
+//                               does not cover construction). Scalar
+//                               covers enums and aliases of scalars
+//                               declared anywhere in the corpus.
 
 namespace dbs3_tidy {
 
@@ -53,8 +53,9 @@ inline constexpr char kGuardedMemberInit[] = "dbs3-guarded-member-init";
 std::vector<std::string> AllCheckNames();
 
 /// Runs `enabled` checks (empty = all) over `sources` as one corpus:
-/// dbs3-guarded-member-init resolves constructor init lists across files,
-/// so headers and their .cc implementations should be analyzed together.
+/// dbs3-guarded-member-init resolves constructor init lists, enums and
+/// type aliases across files, so headers and their .cc implementations
+/// should be analyzed together.
 /// Diagnostics are NOLINT-filtered and sorted by (file, line).
 std::vector<Diag> RunChecks(const std::vector<TidySource>& sources,
                             const std::set<std::string>& enabled = {});
