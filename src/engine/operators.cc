@@ -83,10 +83,17 @@ const char* JoinAlgorithmName(JoinAlgorithm a) {
 // ---------------------------------------------------------------- Filter
 
 FilterLogic::FilterLogic(const Relation* input, Predicate predicate,
-                         double selectivity)
+                         double selectivity,
+                         std::optional<std::vector<size_t>> columns)
     : input_(input),
       predicate_(std::move(predicate)),
-      selectivity_(selectivity) {}
+      selectivity_(selectivity),
+      columns_(std::move(columns)) {
+  if (columns_.has_value() &&
+      IsIdentityProjection(*columns_, input_->schema().num_columns())) {
+    columns_.reset();  // The whole row: keep EmitCopy.
+  }
+}
 
 NodeEstimate FilterLogic::Estimate(const CostModel& cost_model,
                                    double input_tuples) const {
@@ -116,6 +123,21 @@ Status FilterLogic::Prepare(size_t num_instances) {
 }
 
 void FilterLogic::OnTrigger(size_t instance, Emitter* out) {
+  // The projection is decided once per fragment, so a whole-row scan runs
+  // the plain EmitCopy loop.
+  if (!columns_.has_value()) {
+    ScanFragment(instance,
+                 [&](const Tuple& t) { out->EmitCopy(instance, t); });
+    return;
+  }
+  const std::span<const size_t> columns(*columns_);
+  ScanFragment(instance, [&](const Tuple& t) {
+    out->EmitSelect(instance, t, columns);
+  });
+}
+
+template <typename EmitFn>
+void FilterLogic::ScanFragment(size_t instance, EmitFn emit) const {
   const std::vector<Tuple>& rows = input_->fragment(instance).tuples;
   if (predicate_.expr.has_value() && rows.size() >= kMinBatchRows) {
     // Batch kernel, one tile at a time: build the column view, evaluate the
@@ -132,9 +154,7 @@ void FilterLogic::OnTrigger(size_t instance, Emitter* out) {
                         &arena);
       uint32_t* sel = arena.AllocateArrayOf<uint32_t>(count);
       const size_t kept = EvalPredAll(expr, batch, sel);
-      for (size_t i = 0; i < kept; ++i) {
-        out->EmitCopy(instance, rows[base + sel[i]]);
-      }
+      for (size_t i = 0; i < kept; ++i) emit(rows[base + sel[i]]);
     }
     return;
   }
@@ -143,13 +163,13 @@ void FilterLogic::OnTrigger(size_t instance, Emitter* out) {
     // std::function call per tuple.
     const PredExpr& expr = *predicate_.expr;
     for (const Tuple& t : rows) {
-      if (expr.EvalRow(t)) out->EmitCopy(instance, t);
+      if (expr.EvalRow(t)) emit(t);
     }
     return;
   }
   const TuplePredicate& keep = predicate_.row;
   for (const Tuple& t : rows) {
-    if (keep(t)) out->EmitCopy(instance, t);
+    if (keep(t)) emit(t);
   }
 }
 
@@ -539,6 +559,14 @@ NodeEstimate PipelinedFilterLogic::Estimate(const CostModel& cost_model,
 }
 
 // ---------------------------------------------------------------- Project
+
+bool IsIdentityProjection(std::span<const size_t> columns, size_t width) {
+  if (columns.size() != width) return false;
+  for (size_t i = 0; i < width; ++i) {
+    if (columns[i] != i) return false;
+  }
+  return true;
+}
 
 ProjectLogic::ProjectLogic(std::vector<size_t> columns)
     : columns_(std::move(columns)) {}

@@ -70,8 +70,15 @@ class FilterLogic : public OperatorLogic {
   /// `input` must outlive the execution. `selectivity` is the estimated
   /// fraction of tuples the predicate keeps (compiler statistic, used only
   /// for scheduling). A lowered predicate runs the tiled batch kernel.
+  ///
+  /// `columns` prunes the output: the predicate still sees the whole base
+  /// row, but only the listed base columns are emitted, in list order
+  /// (via Emitter::EmitSelect). std::nullopt, or a list that is the
+  /// identity of the input's schema, emits the whole row (EmitCopy); an
+  /// empty list emits zero-width rows.
   FilterLogic(const Relation* input, Predicate predicate,
-              double selectivity = 1.0);
+              double selectivity = 1.0,
+              std::optional<std::vector<size_t>> columns = std::nullopt);
 
   Status Prepare(size_t num_instances) override;
   void OnTrigger(size_t instance, Emitter* out) override;
@@ -80,9 +87,15 @@ class FilterLogic : public OperatorLogic {
                         double input_tuples) const override;
 
  private:
+  /// Scans fragment `instance`, calling emit(row) for every match.
+  template <typename EmitFn>
+  void ScanFragment(size_t instance, EmitFn emit) const;
+
   const Relation* input_;
   Predicate predicate_;
   double selectivity_;
+  /// Emitted base columns; nullopt = the whole row.
+  std::optional<std::vector<size_t>> columns_;
 };
 
 /// Triggered redistribution: the control activation for instance i scans
@@ -337,6 +350,10 @@ class PipelinedFilterLogic : public OperatorLogic {
   Predicate predicate_;
   double selectivity_;
 };
+
+/// Whether `columns` lists 0..width-1 in order: a projection that keeps a
+/// `width`-column row as it is.
+bool IsIdentityProjection(std::span<const size_t> columns, size_t width);
 
 /// Pipelined projection: emits the listed columns of each incoming tuple,
 /// in order. Emission goes through Emitter::EmitSelect, which writes the

@@ -71,6 +71,92 @@ std::vector<Binding> BindingsOf(const Relation& rel) {
   return out;
 }
 
+/// The bindings of the listed base columns of `rel`, in list order.
+std::vector<Binding> BindingsOf(const Relation& rel,
+                                const std::vector<size_t>& columns) {
+  std::vector<Binding> out;
+  out.reserve(columns.size());
+  for (size_t c : columns) {
+    out.push_back({rel.name(), rel.schema().column(c).name});
+  }
+  return out;
+}
+
+/// The schema of the listed base columns of `rel`, in list order.
+Schema SchemaOf(const Relation& rel, const std::vector<size_t>& columns) {
+  std::vector<Column> out;
+  out.reserve(columns.size());
+  for (size_t c : columns) out.push_back(rel.schema().column(c));
+  return Schema(std::move(out));
+}
+
+/// Position of base column `column` in the ascending pruned list `columns`
+/// (the column must have been kept).
+size_t PrunedIndex(const std::vector<size_t>& columns, size_t column) {
+  return static_cast<size_t>(
+      std::lower_bound(columns.begin(), columns.end(), column) -
+      columns.begin());
+}
+
+/// The physical-plan tag of a pruned scan: "" for the whole row, else
+/// "[k of n cols]".
+std::string PruneTag(const std::vector<size_t>& columns,
+                     const Relation& rel) {
+  const size_t width = rel.schema().num_columns();
+  if (columns.size() == width) return "";
+  return "[" + std::to_string(columns.size()) + " of " +
+         std::to_string(width) + " cols]";
+}
+
+bool IsStar(const EsqlQuery& query) {
+  return query.items.size() == 1 &&
+         query.items[0].kind == SelectItem::Kind::kStar;
+}
+
+/// Column pruning: for each base relation of the chain, the base columns
+/// (ascending) the query reads after that relation's scan — the select
+/// items, aggregate arguments, JOIN ON sides, GROUP BY, ORDER BY and the
+/// WHERE conjuncts in `post_preds` (those not pushed into a scan). A `*`
+/// keeps every column. A reference marks the column in every relation it
+/// could resolve to, so an ambiguous name stays ambiguous downstream and
+/// resolution reports exactly what it would over whole rows.
+std::vector<std::vector<size_t>> ColumnsRead(
+    const EsqlQuery& query, const std::vector<Relation*>& rels,
+    const std::vector<Comparison>& post_preds) {
+  std::vector<std::vector<bool>> keep(rels.size());
+  for (size_t i = 0; i < rels.size(); ++i) {
+    keep[i].assign(rels[i]->schema().num_columns(), IsStar(query));
+  }
+  auto mark = [&](const ColumnRef& ref) {
+    for (size_t i = 0; i < rels.size(); ++i) {
+      if (!ref.relation.empty() && ref.relation != rels[i]->name()) continue;
+      const Result<size_t> col = rels[i]->schema().IndexOf(ref.column);
+      if (col.ok()) keep[i][col.value()] = true;
+    }
+  };
+  for (const SelectItem& item : query.items) {
+    if (item.kind == SelectItem::Kind::kColumn ||
+        (item.kind == SelectItem::Kind::kAggregate && !item.count_star)) {
+      mark(item.column);
+    }
+  }
+  for (const EsqlQuery::JoinClause& jc : query.joins) {
+    mark(jc.left);
+    mark(jc.right);
+  }
+  if (query.group_by.has_value()) mark(*query.group_by);
+  if (query.order_by.has_value()) mark(query.order_by->column);
+  for (const Comparison& cmp : post_preds) mark(cmp.column);
+
+  std::vector<std::vector<size_t>> out(rels.size());
+  for (size_t i = 0; i < rels.size(); ++i) {
+    for (size_t c = 0; c < keep[i].size(); ++c) {
+      if (keep[i][c]) out[i].push_back(c);
+    }
+  }
+  return out;
+}
+
 TuplePredicate PredicateFor(size_t column, Comparison::Op op, Value literal) {
   return [column, op, literal = std::move(literal)](const Tuple& t) {
     const Value& v = t.at(column);
@@ -203,25 +289,31 @@ bool BelongsTo(const Comparison& cmp, const Relation& rel) {
   return rel.schema().IndexOf(cmp.column.column).ok();
 }
 
-/// Materializes a repartition of `rel` on `column`, hash-partitioned with
-/// the same degree — the subquery boundary of the general join case.
+/// Materializes a repartition of `rel` on base column `column`,
+/// hash-partitioned with the same degree — the subquery boundary of the
+/// general join case. The temporary holds only the base `columns`
+/// (ascending, `column` among them), partitioned on `column`'s position.
 Result<std::unique_ptr<Relation>> MaterializeRepartition(
-    const Relation& rel, size_t column, Predicate predicate,
-    double selectivity, const EsqlOptions& options, EsqlExecContext& ctx) {
+    const Relation& rel, size_t column, const std::vector<size_t>& columns,
+    Predicate predicate, double selectivity, const EsqlOptions& options,
+    EsqlExecContext& ctx) {
+  const size_t temp_column = PrunedIndex(columns, column);
   auto temp = std::make_unique<Relation>(
-      rel.name() + "_repart", rel.schema(), column,
+      rel.name() + "_repart", SchemaOf(rel, columns), temp_column,
       Partitioner(PartitionKind::kHash, rel.degree()));
   Plan plan;
   const size_t filter = plan.AddNode(
       "repartition-scan", ActivationMode::kTriggered, rel.degree(),
-      std::make_unique<FilterLogic>(&rel, std::move(predicate), selectivity));
+      std::make_unique<FilterLogic>(&rel, std::move(predicate), selectivity,
+                                    columns));
   const size_t store =
       plan.AddNode("store", ActivationMode::kPipelined, rel.degree(),
                    std::make_unique<StoreLogic>(temp.get()));
   DBS3_RETURN_IF_ERROR(
-      plan.ConnectByColumn(filter, store, column, temp->partitioner()));
-  DBS3_ASSIGN_OR_RETURN(PhaseOutcome out,
-                        ctx.env->Run(plan, CostModel{}, options.schedule));
+      plan.ConnectByColumn(filter, store, temp_column, temp->partitioner()));
+  DBS3_ASSIGN_OR_RETURN(
+      PhaseOutcome out,
+      ctx.env->Run(plan, options.cost_model, options.schedule));
   ctx.phase_execs.push_back(std::move(out.execution));
   return temp;
 }
@@ -293,6 +385,12 @@ Status BuildSource(Database& db, const EsqlQuery& query,
     }
   }
 
+  // Column pruning: each scan emits only the columns read after it. Every
+  // conjunct in rel_preds is pushed into its relation's scan (or
+  // repartition scan) below, so post_preds are the only later WHERE reads.
+  const std::vector<std::vector<size_t>> read =
+      ColumnsRead(query, rels, post_preds);
+
   if (query.joins.empty()) {
     DBS3_ASSIGN_OR_RETURN(auto pred,
                           CombinePredicates(BindingsOf(*from_rel),
@@ -302,11 +400,12 @@ Status BuildSource(Database& db, const EsqlQuery& query,
         "scan(" + from_rel->name() + ")", ActivationMode::kTriggered,
         from_rel->degree(),
         std::make_unique<FilterLogic>(from_rel, std::move(pred.first),
-                                      pred.second)));
+                                      pred.second, read[0])));
     state->instances = from_rel->degree();
-    state->schema = from_rel->schema();
-    state->bindings = BindingsOf(*from_rel);
-    state->description = "scan(" + from_rel->name() + ")";
+    state->schema = SchemaOf(*from_rel, read[0]);
+    state->bindings = BindingsOf(*from_rel, read[0]);
+    state->description =
+        "scan(" + from_rel->name() + ")" + PruneTag(read[0], *from_rel);
     return AppendFilter(post_preds, state);
   }
 
@@ -351,7 +450,8 @@ Status BuildSource(Database& db, const EsqlQuery& query,
       // IdealJoin (Figure 10): one triggered instance per fragment pair.
       // Skipped for budgeted queries: the triggered join's per-fragment
       // index is unaccounted, so a declared budget routes through the
-      // quota-charging (and spilling) pipelined join instead.
+      // quota-charging (and spilling) pipelined join instead. Its output is
+      // the whole concatenated row (not pruned).
       state->tail = static_cast<int>(state->plan.AddNode(
           "ideal-join", ActivationMode::kTriggered, rels[0]->degree(),
           std::make_unique<TriggeredJoinLogic>(rels[0], left_col, rels[1],
@@ -384,6 +484,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
     // Start the pipeline with the probe-side scan (pushdown predicates
     // applied in the scan — the FilterLogic generalization of Transmit).
     Relation* probe = rels[probe_idx];
+    const std::vector<size_t>& probe_read = read[probe_idx];
     DBS3_ASSIGN_OR_RETURN(
         auto probe_pred,
         CombinePredicates(BindingsOf(*probe), probe->schema(),
@@ -392,12 +493,15 @@ Status BuildSource(Database& db, const EsqlQuery& query,
         "scan(" + probe->name() + ")", ActivationMode::kTriggered,
         probe->degree(),
         std::make_unique<FilterLogic>(probe, std::move(probe_pred.first),
-                                      probe_pred.second)));
+                                      probe_pred.second, probe_read)));
     state->instances = probe->degree();
-    state->schema = probe->schema();
-    state->bindings = BindingsOf(*probe);
-    state->description = "scan(" + probe->name() + ")";
+    state->schema = SchemaOf(*probe, probe_read);
+    state->bindings = BindingsOf(*probe, probe_read);
+    state->description =
+        "scan(" + probe->name() + ")" + PruneTag(probe_read, *probe);
     rel_preds[probe_idx].clear();
+    probe_col = PrunedIndex(probe_read, probe_col);
+    const size_t probe_width = probe_read.size();
 
     // Make the first join clause reference the resolved inner.
     // Fall through to the generic chain below by rotating rels so the
@@ -457,7 +561,9 @@ Status BuildSource(Database& db, const EsqlQuery& query,
       }
 
       // Repartition the inner when it is not partitioned on its join
-      // attribute or carries pushdown predicates (subquery boundary).
+      // attribute or carries pushdown predicates (subquery boundary). The
+      // temporary holds only the inner's read columns; a base inner is
+      // joined whole.
       const size_t rel_index = chain[step];
       if (inner->partition_column() != this_inner_col ||
           !rel_preds[rel_index].empty()) {
@@ -467,11 +573,13 @@ Status BuildSource(Database& db, const EsqlQuery& query,
                               rel_preds[rel_index]));
         DBS3_ASSIGN_OR_RETURN(
             std::unique_ptr<Relation> temp,
-            MaterializeRepartition(*inner, this_inner_col,
+            MaterializeRepartition(*inner, this_inner_col, read[rel_index],
                                    std::move(inner_pred.first),
                                    inner_pred.second, options, ctx));
-        state->description =
-            "repartition(" + inner->name() + ") ; " + state->description;
+        state->description = "repartition(" + inner->name() + ")" +
+                             PruneTag(read[rel_index], *inner) + " ; " +
+                             state->description;
+        this_inner_col = temp->partition_column();
         inner = temp.get();
         state->temps.push_back(std::move(temp));
         rel_preds[rel_index].clear();
@@ -501,10 +609,11 @@ Status BuildSource(Database& db, const EsqlQuery& query,
     }
 
     // A swapped first join produced (right, left) column order; restore the
-    // SQL order (FROM relation first) with a projection.
-    if (probe_idx == 1) {
-      const size_t n_right = rels[1]->schema().num_columns();
-      const size_t n_left = rels[0]->schema().num_columns();
+    // SQL order (FROM relation first) with a projection. Only `*` exposes
+    // that order: a select list or aggregation resolves columns by name.
+    if (probe_idx == 1 && IsStar(query)) {
+      const size_t n_right = probe_width;
+      const size_t n_left = state->schema.num_columns() - probe_width;
       std::vector<size_t> reorder;
       for (size_t c = 0; c < n_left; ++c) reorder.push_back(n_right + c);
       for (size_t c = 0; c < n_right; ++c) reorder.push_back(c);
@@ -617,12 +726,10 @@ Status BuildAggregation(const EsqlQuery& query, PipelineState* state) {
   return Status::OK();
 }
 
-/// Appends the projection stage for plain (non-aggregate) select lists.
+/// Appends the projection stage for plain (non-aggregate) select lists. A
+/// projection that keeps the pruned row as it is only renames: no node.
 Status BuildProjection(const EsqlQuery& query, PipelineState* state) {
-  if (query.items.size() == 1 &&
-      query.items[0].kind == SelectItem::Kind::kStar) {
-    return Status::OK();
-  }
+  if (IsStar(query)) return Status::OK();
   std::vector<size_t> columns;
   std::vector<Column> out_columns;
   std::vector<Binding> out_bindings;
@@ -634,6 +741,11 @@ Status BuildProjection(const EsqlQuery& query, PipelineState* state) {
         !item.alias.empty() ? item.alias : item.column.column;
     out_columns.push_back({name, state->schema.column(col).type});
     out_bindings.push_back({state->bindings[col].relation, name});
+  }
+  if (IsIdentityProjection(columns, state->schema.num_columns())) {
+    state->schema = Schema(std::move(out_columns));
+    state->bindings = std::move(out_bindings);
+    return Status::OK();
   }
   const size_t project = state->plan.AddNode(
       "project", ActivationMode::kPipelined, state->instances,
@@ -744,8 +856,7 @@ Result<std::shared_ptr<const SharedScanSpec>> MakeSharedSpec(
   auto spec = std::make_shared<SharedScanSpec>();
   spec->relation = rel;
 
-  if (query.items.size() == 1 &&
-      query.items[0].kind == SelectItem::Kind::kStar) {
+  if (IsStar(query)) {
     spec->result_schema = rel->schema();  // Empty projection = whole row.
   } else {
     const std::vector<Binding> bindings = BindingsOf(*rel);

@@ -149,8 +149,18 @@ class EsqlDifferentialTest : public ::testing::TestWithParam<uint64_t> {
           s->Insert(Tuple({Value(rng.Range(0, 40)), Value(rng.Range(0, 9))}))
               .ok());
     }
+    // t(k, v): shares the non-join column name v with r.
+    auto t = std::make_unique<Relation>(
+        "t", Schema({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}}),
+        0, Partitioner(PartitionKind::kModulo, 7));
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(t->Insert(Tuple({Value(rng.Range(0, 40)),
+                                   Value(rng.Range(-20, 20))}))
+                      .ok());
+    }
     ASSERT_TRUE(db_.AddRelation(std::move(r)).ok());
     ASSERT_TRUE(db_.AddRelation(std::move(s)).ok());
+    ASSERT_TRUE(db_.AddRelation(std::move(t)).ok());
     options_.schedule.total_threads = 3;
     options_.schedule.processors = 4;
   }
@@ -253,6 +263,168 @@ TEST_P(EsqlDifferentialTest, BudgetedExecutionMatchesUnbudgeted) {
     for (uint64_t budget : {uint64_t{4}, uint64_t{32}, uint64_t{100'000}}) {
       options_.memory_units = budget;
       EXPECT_EQ(RunEngine(query), unbudgeted)
+          << query << " budget=" << budget;
+    }
+    options_.memory_units = 0;
+  }
+}
+
+// Column pruning: the scans below emit only the columns the query reads
+// after them; every result must still equal the reference evaluator's,
+// which always works on whole rows.
+
+TEST_P(EsqlDifferentialTest, CountStarKeepsNoColumns) {
+  Rng rng(GetParam() * 71 + 4);
+  const int64_t lit = rng.Range(-10, 10);
+  Comparison cmp;
+  cmp.op = Comparison::Op::kGt;
+  cmp.literal = Value(lit);
+  const Relation& r = *db_.relation("r").value();
+  EXPECT_EQ(RunEngine("SELECT COUNT(*) FROM r"),
+            ReferenceEval(r, std::nullopt, 0, 0, {}, std::nullopt,
+                          {{AggKind::kCount, 0}}, {})
+                .rows);
+  const std::string filtered =
+      "SELECT COUNT(*) FROM r WHERE v > " + std::to_string(lit);
+  EXPECT_EQ(RunEngine(filtered),
+            ReferenceEval(r, std::nullopt, 0, 0, {{1, cmp}}, std::nullopt,
+                          {{AggKind::kCount, 0}}, {})
+                .rows)
+      << filtered;
+}
+
+TEST_P(EsqlDifferentialTest, WhereColumnNotSelected) {
+  Rng rng(GetParam() * 83 + 5);
+  const int64_t lit = rng.Range(-10, 10);
+  const std::string query =
+      "SELECT k FROM r WHERE v < " + std::to_string(lit);
+  Comparison cmp;
+  cmp.op = Comparison::Op::kLt;
+  cmp.literal = Value(lit);
+  const ReferenceResult expected =
+      ReferenceEval(*db_.relation("r").value(), std::nullopt, 0, 0,
+                    {{1, cmp}}, std::nullopt, {}, {0});
+  EXPECT_EQ(RunEngine(query), expected.rows) << query;
+}
+
+TEST_P(EsqlDifferentialTest, OrderByColumnNotSelected) {
+  const std::string query = "SELECT v FROM r ORDER BY w DESC";
+  const ReferenceResult expected =
+      ReferenceEval(*db_.relation("r").value(), std::nullopt, 0, 0, {},
+                    std::nullopt, {}, {1});
+  EXPECT_EQ(RunEngine(query), expected.rows) << query;
+  // Over an AssocJoin (the WHERE keeps every row but rules out the
+  // IdealJoin), with the sort key from the inner side.
+  const std::string join =
+      "SELECT r.v FROM r JOIN s ON r.k = s.k WHERE w >= 0 ORDER BY x";
+  Comparison all;
+  all.op = Comparison::Op::kGe;
+  all.literal = Value(int64_t{0});
+  EXPECT_EQ(RunEngine(join),
+            ReferenceEval(*db_.relation("r").value(),
+                          db_.relation("s").value(), 0, 0, {{2, all}},
+                          std::nullopt, {}, {1})
+                .rows)
+      << join;
+}
+
+TEST_P(EsqlDifferentialTest, GroupByOverRepartitionedJoin) {
+  // Neither side is partitioned on its join column, so s is repartitioned
+  // into a temporary holding only the columns read after it.
+  const Relation& r = *db_.relation("r").value();
+  const Relation* s = db_.relation("s").value();
+  struct Case {
+    std::string query;
+    size_t r_col, s_col, group_col;
+    std::vector<AggSpec> aggs;
+  };
+  // Joined reference layout: r(k, v, w) then s(k, x) at 3, 4.
+  const std::vector<Case> cases = {
+      {"SELECT r.w, COUNT(*), SUM(s.k) FROM r JOIN s ON r.v = s.x "
+       "GROUP BY r.w",
+       1, 1, 2, {{AggKind::kCount, 0}, {AggKind::kSum, 3}}},
+      {"SELECT r.k, COUNT(*), MAX(r.v) FROM r JOIN s ON r.w = s.x "
+       "GROUP BY r.k",
+       2, 1, 0, {{AggKind::kCount, 0}, {AggKind::kMax, 1}}},
+      {"SELECT s.k, COUNT(*), MIN(r.v), SUM(s.x) FROM r JOIN s "
+       "ON r.w = s.x GROUP BY s.k",
+       2, 1, 3, {{AggKind::kCount, 0}, {AggKind::kMin, 1},
+                 {AggKind::kSum, 4}}},
+  };
+  for (const Case& c : cases) {
+    auto result = ExecuteEsql(db_, c.query, options_);
+    ASSERT_TRUE(result.ok()) << c.query << " -> "
+                             << result.status().ToString();
+    EXPECT_NE(result.value().physical_plan.find("repartition(s)"),
+              std::string::npos)
+        << result.value().physical_plan;
+    EXPECT_EQ(RunEngine(c.query),
+              ReferenceEval(r, s, c.r_col, c.s_col, {}, c.group_col, c.aggs,
+                            {})
+                  .rows)
+        << c.query;
+  }
+}
+
+TEST_P(EsqlDifferentialTest, AmbiguousPostFilterColumnSurvivesScans) {
+  // An unqualified WHERE column present in both relations is pushed into
+  // neither scan; it must survive both so that resolution still reports
+  // the ambiguity instead of silently reading the side that kept it.
+  auto ambiguous = ExecuteEsql(
+      db_, "SELECT r.k FROM r JOIN t ON r.k = t.k WHERE v > 0", options_);
+  ASSERT_FALSE(ambiguous.ok());
+  EXPECT_EQ(ambiguous.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(ambiguous.status().message().find("ambiguous column 'v'"),
+            std::string::npos)
+      << ambiguous.status().ToString();
+
+  // Qualified, each side's conjunct runs in its own scan and is not
+  // emitted.
+  Rng rng(GetParam() * 97 + 6);
+  const int64_t lit = rng.Range(-10, 10);
+  const std::string query =
+      "SELECT r.k FROM r JOIN t ON r.k = t.k WHERE r.v > " +
+      std::to_string(lit) + " AND t.v < " + std::to_string(-lit);
+  Comparison gt;
+  gt.op = Comparison::Op::kGt;
+  gt.literal = Value(lit);
+  Comparison lt;
+  lt.op = Comparison::Op::kLt;
+  lt.literal = Value(-lit);
+  // Joined reference layout: r(k, v, w) then t(k, v) at 3, 4.
+  EXPECT_EQ(RunEngine(query),
+            ReferenceEval(*db_.relation("r").value(),
+                          db_.relation("t").value(), 0, 0,
+                          {{1, gt}, {4, lt}}, std::nullopt, {}, {0})
+                .rows)
+      << query;
+}
+
+TEST_P(EsqlDifferentialTest, PrunedBudgetedMatchesUnbudgeted) {
+  // Pruned scans feed the spilling join and the spilling group-by: at
+  // every budget the rows and the result schema are those of the
+  // unbudgeted run.
+  const std::vector<std::string> queries = {
+      "SELECT r.w, COUNT(*), SUM(s.k) FROM r JOIN s ON r.v = s.x "
+      "GROUP BY r.w",
+      "SELECT COUNT(*) FROM r JOIN s ON r.w = s.x",
+      "SELECT x, v FROM r JOIN s ON r.k = s.k WHERE w = 2",
+  };
+  for (const std::string& query : queries) {
+    options_.memory_units = 0;
+    auto unbudgeted = ExecuteEsql(db_, query, options_);
+    ASSERT_TRUE(unbudgeted.ok()) << query;
+    std::vector<Tuple> rows = unbudgeted.value().result->Scan();
+    std::sort(rows.begin(), rows.end());
+    for (uint64_t budget : {uint64_t{4}, uint64_t{32}, uint64_t{100'000}}) {
+      options_.memory_units = budget;
+      auto budgeted = ExecuteEsql(db_, query, options_);
+      ASSERT_TRUE(budgeted.ok()) << query << " budget=" << budget;
+      std::vector<Tuple> got = budgeted.value().result->Scan();
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, rows) << query << " budget=" << budget;
+      EXPECT_TRUE(budgeted.value().result->schema() ==
+                  unbudgeted.value().result->schema())
           << query << " budget=" << budget;
     }
     options_.memory_units = 0;

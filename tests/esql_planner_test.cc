@@ -264,6 +264,99 @@ TEST_F(EsqlPlannerTest, ThreeWayJoinWithAggregation) {
   EXPECT_EQ(row.at(2).AsInt(), expected_total);
 }
 
+TEST_F(EsqlPlannerTest, SelectStarPlansRenderWholeRows) {
+  // `*` reads every column: no scan or repartition is pruned, and the
+  // plan renders without column tags.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"SELECT * FROM cities", "scan(cities) ; store"},
+      {"SELECT * FROM residents WHERE payload < 3",
+       "scan(residents) ; store"},
+      {"SELECT * FROM residents JOIN cities ON residents.key = cities.key",
+       "IdealJoin(residents, cities) ; store"},
+      {"SELECT * FROM misaligned JOIN orders ON misaligned.key = "
+       "orders.amount",
+       "repartition(orders) ; scan(misaligned) ; "
+       "AssocJoin(probe=misaligned, inner=orders_repart) ; store"},
+      {"SELECT * FROM residents JOIN misaligned ON residents.key = "
+       "misaligned.key",
+       "scan(misaligned) ; AssocJoin(probe=misaligned, inner=residents) ; "
+       "store"},
+  };
+  for (const auto& [query, plan] : cases) {
+    auto r = ExecuteEsql(db_, query, options_);
+    ASSERT_TRUE(r.ok()) << query << ": " << r.status().ToString();
+    EXPECT_EQ(r.value().physical_plan, plan) << query;
+  }
+}
+
+TEST_F(EsqlPlannerTest, PlanShowsPrunedColumns) {
+  // Only the columns read after a scan leave it: the WHERE column is
+  // evaluated in the scan, the select list keeps `key`, and the identity
+  // projection that is left is dropped.
+  auto scan = ExecuteEsql(db_, "SELECT key FROM orders WHERE amount < 10",
+                          options_);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(scan.value().physical_plan,
+            "scan(orders)[1 of 2 cols] ; store");
+  EXPECT_EQ(scan.value().result->schema().num_columns(), 1u);
+  EXPECT_EQ(scan.value().result->cardinality(), 10u);
+
+  // COUNT(*) keeps no column at all.
+  auto count = ExecuteEsql(db_, "SELECT COUNT(*) AS n FROM orders", options_);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count.value().physical_plan,
+            "scan(orders)[0 of 2 cols] ; group-by(all) ; store");
+  ASSERT_EQ(count.value().result->cardinality(), 1u);
+  EXPECT_EQ(count.value().result->Scan()[0].at(1).AsInt(), 500);
+
+  // The repartitioned inner materializes only its join column.
+  auto join = ExecuteEsql(db_,
+                          "SELECT misaligned.grp, COUNT(*) AS n "
+                          "FROM misaligned JOIN orders "
+                          "ON misaligned.key = orders.amount "
+                          "GROUP BY misaligned.grp",
+                          options_);
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  EXPECT_EQ(join.value().physical_plan,
+            "repartition(orders)[1 of 2 cols] ; scan(misaligned) ; "
+            "AssocJoin(probe=misaligned, inner=orders_repart) ; "
+            "group-by(grp) ; store");
+  int64_t matches = 0;
+  for (const Tuple& t : join.value().result->Scan()) matches += t.at(1).AsInt();
+  EXPECT_EQ(matches, 200);
+}
+
+TEST_F(EsqlPlannerTest, RepartitionPhaseHonoursCostModel) {
+  // The materialization phase is scheduled with the query's cost model:
+  // making the scan expensive relative to the store moves threads from
+  // the store to the repartition scan.
+  const std::string query =
+      "SELECT * FROM misaligned JOIN orders ON misaligned.key = orders.amount";
+  auto threads_of = [&](const EsqlOptions& options) {
+    QueryHandle handle = SubmitEsql(db_, query, options);
+    Result<QueryResult> r = handle.Take();
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<size_t> threads;
+    if (!r.ok() || r.value().phases.empty()) return threads;
+    for (const OperationStats& op : r.value().phases[0].op_stats) {
+      threads.push_back(op.per_thread_processed.size());
+    }
+    return threads;
+  };
+  EsqlOptions scan_heavy = options_;
+  scan_heavy.cost_model.scan_tuple = 100.0;
+  scan_heavy.cost_model.store_tuple = 1.0;
+  EsqlOptions store_heavy = options_;
+  store_heavy.cost_model.scan_tuple = 1.0;
+  store_heavy.cost_model.store_tuple = 100.0;
+  const std::vector<size_t> scan_split = threads_of(scan_heavy);
+  const std::vector<size_t> store_split = threads_of(store_heavy);
+  ASSERT_EQ(scan_split.size(), 2u);  // repartition-scan, store.
+  ASSERT_EQ(store_split.size(), 2u);
+  EXPECT_GT(scan_split[0], scan_split[1]);
+  EXPECT_LT(store_split[0], store_split[1]);
+}
+
 TEST_F(EsqlPlannerTest, SemanticErrors) {
   EXPECT_EQ(ExecuteEsql(db_, "SELECT * FROM nope", options_)
                 .status()

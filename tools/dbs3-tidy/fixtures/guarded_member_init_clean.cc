@@ -48,6 +48,30 @@ class OutOfLineConstructor {
 OutOfLineConstructor::OutOfLineConstructor(int64_t budget)
     : budget_(budget) {}
 
+// Braced last initializers: the init list still covers every member, in
+// class and out of line.
+class BracedInClassConstructor {
+ public:
+  explicit BracedInClassConstructor(int v) : b_(v), a_{0} {}
+
+ private:
+  Mutex mu_;
+  int a_ GUARDED_BY(mu_);
+  int b_ GUARDED_BY(mu_);
+};
+
+class BracedOutOfLineConstructor {
+ public:
+  BracedOutOfLineConstructor();
+
+ private:
+  Mutex mu_;
+  int a_ GUARDED_BY(mu_);
+  int b_ GUARDED_BY(mu_);
+};
+
+BracedOutOfLineConstructor::BracedOutOfLineConstructor() : a_{1}, b_{2} {}
+
 // Non-scalar guarded members are out of scope: class types have default
 // constructors.
 class NonScalarGuardedMember {

@@ -25,6 +25,18 @@ class ConstructorSkipsOne {
   int64_t high_water_ GUARDED_BY(mu_);  // DBS3-TIDY: dbs3-guarded-member-init
 };
 
+// A braced init list is read like a parenthesized one: it covers only
+// the members it names.
+class BracedConstructorSkipsOne {
+ public:
+  BracedConstructorSkipsOne() : pending_{0} {}
+
+ private:
+  Mutex mu_;
+  size_t pending_ GUARDED_BY(mu_);
+  int64_t high_water_ GUARDED_BY(mu_);  // DBS3-TIDY: dbs3-guarded-member-init
+};
+
 // Raw pointers are scalars too: an indeterminate pointer is worse than an
 // indeterminate counter.
 class UninitializedGuardedPointer {

@@ -135,6 +135,25 @@ class ScopedSource {
     return "";
   }
 
+  /// When the group closing at `j` is the last initializer of a
+  /// constructor init list, classifies the scope as that constructor: the
+  /// real signature is the paren group before the introducing ':'.
+  bool ClassifyCtorBody(size_t j, Scope* s) const {
+    const auto& toks = src_.tokens();
+    const size_t intro = InitListIntro(j);
+    if (intro == TidySource::npos) return false;
+    const size_t ctor_open = src_.MatchingBracket(intro - 1);
+    if (ctor_open == TidySource::npos || ctor_open == 0 ||
+        (toks[ctor_open - 1].kind == Kind::kIdent &&
+         TextIn(toks[ctor_open - 1],
+                {"if", "for", "while", "switch", "catch"}))) {
+      return false;
+    }
+    s->kind = Scope::Kind::kFunction;
+    s->name = FunctionNameBefore(ctor_open);
+    return true;
+  }
+
   Scope Classify(size_t open, size_t close) const {
     const auto& toks = src_.tokens();
     Scope s;
@@ -187,25 +206,25 @@ class ScopedSource {
         s.name = "lambda";
         return s;
       }
-      // `Foo::Foo(...) : a_(x), b_{y} {` — the token run before this `)`
-      // may be the *last initializer* of a constructor init list; if so the
-      // real signature is the paren group before the introducing ':'.
-      const size_t intro = InitListIntro(j);
-      if (intro != TidySource::npos) {
-        const size_t ctor_close = intro - 1;
-        const size_t ctor_open = src_.MatchingBracket(ctor_close);
-        if (ctor_open != TidySource::npos && ctor_open > 0 &&
-            !(toks[ctor_open - 1].kind == Kind::kIdent &&
-              TextIn(toks[ctor_open - 1],
-                     {"if", "for", "while", "switch", "catch"}))) {
-          s.kind = Scope::Kind::kFunction;
-          s.name = FunctionNameBefore(ctor_open);
-          return s;
-        }
-      }
+      // `Foo::Foo(...) : a_(x), b_(y) {` — the token run before this `)`
+      // may be the *last initializer* of a constructor init list.
+      if (ClassifyCtorBody(j, &s)) return s;
       s.kind = Scope::Kind::kFunction;
       s.name = FunctionNameBefore(sig_open);
       return s;
+    }
+    // `Foo::Foo(...) : a_(x), b_{y} {` — a braced last initializer. Only a
+    // member name (or template `>`) may precede its `{`, which keeps a
+    // block after a control body (`if (c) {...} {`) a block.
+    if (p.kind == Kind::kPunct && p.text == "}") {
+      const size_t init_open = src_.MatchingBracket(j);
+      if (init_open != TidySource::npos && init_open > 0 &&
+          (toks[init_open - 1].kind == Kind::kIdent ||
+           (toks[init_open - 1].kind == Kind::kPunct &&
+            toks[init_open - 1].text == ">")) &&
+          ClassifyCtorBody(j, &s)) {
+        return s;
+      }
     }
     // Class-like head: walk back over the head tokens looking for the
     // introducing keyword (`class CAPABILITY("mutex") Mutex {`,
