@@ -70,7 +70,9 @@ double Seconds(std::chrono::steady_clock::duration d) {
 /// A(k, v) uniform probe side; B(k, g) build side, optionally with
 /// `hot_percent` of its rows on key 7 (tuple placement skew on the build
 /// relation, so the join's partitions — not just the probe stream — are
-/// skewed).
+/// skewed). Both are modulo-4 on k, so ESQL plans the join as an
+/// IdealJoin, which charges and spills through the same hash join as
+/// AssocJoin.
 std::unique_ptr<Database> BuildDatabase(const DataSpec& spec) {
   auto db = std::make_unique<Database>(2);
   Rng rng(spec.seed);

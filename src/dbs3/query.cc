@@ -86,12 +86,6 @@ Result<PlannedQuery> PlanIdealJoin(Database& db, const std::string& outer,
                         ColumnOf(outer_rel, outer_column));
   DBS3_ASSIGN_OR_RETURN(const size_t inner_col,
                         ColumnOf(inner_rel, inner_column));
-  if (outer_rel->degree() != inner_rel->degree()) {
-    return Status::FailedPrecondition(
-        "IdealJoin needs co-partitioned operands: '" + outer + "' has " +
-        std::to_string(outer_rel->degree()) + " fragments, '" + inner +
-        "' has " + std::to_string(inner_rel->degree()));
-  }
   const size_t degree = outer_rel->degree();
   PlannedQuery planned;
   planned.result = std::make_unique<Relation>(

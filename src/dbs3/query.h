@@ -48,8 +48,9 @@ struct QueryOptions {
 /// type.
 
 /// Runs the IdealJoin plan (Figure 10): `outer` and `inner` must be
-/// co-partitioned on the join columns; join instance i joins fragment i
-/// with fragment i and materializes into result fragment i.
+/// co-partitioned on the join columns (FailedPrecondition otherwise); join
+/// instance i joins fragment i with fragment i and materializes into result
+/// fragment i.
 Result<QueryResult> RunIdealJoin(Database& db, const std::string& outer,
                                  const std::string& outer_column,
                                  const std::string& inner,

@@ -4,12 +4,9 @@
 #include <cmath>
 #include <utility>
 
-#include "common/arena.h"
 #include "common/hash.h"
 #include "common/memory_quota.h"
 #include "common/metrics.h"
-#include "engine/vector/column_batch.h"
-#include "engine/vector/kernels.h"
 
 namespace dbs3 {
 
@@ -501,65 +498,6 @@ NodeEstimate SortLogic::Estimate(const CostModel& cost_model,
   e.total_work = input_tuples * lg * cost_model.scan_tuple;
   e.activations = input_tuples;
   e.output_tuples = input_tuples;
-  return e;
-}
-
-// --------------------------------------------------------------- SemiJoin
-
-PipelinedSemiJoinLogic::PipelinedSemiJoinLogic(const Relation* inner,
-                                               size_t inner_column,
-                                               size_t probe_column, bool anti)
-    : inner_(inner),
-      probe_column_(probe_column),
-      anti_(anti),
-      indexes_(inner, inner_column) {}
-
-Status PipelinedSemiJoinLogic::Prepare(size_t num_instances) {
-  if (num_instances > inner_->degree()) {
-    return Status::InvalidArgument(
-        "semi-join has " + std::to_string(num_instances) +
-        " instances but inner relation '" + inner_->name() + "' has only " +
-        std::to_string(inner_->degree()) + " fragments");
-  }
-  indexes_.Reset(num_instances);
-  return Status::OK();
-}
-
-void PipelinedSemiJoinLogic::OnDataBatch(size_t instance,
-                                         std::span<Tuple> tuples,
-                                         Emitter* out) {
-  const TempIndex& index = indexes_.For(instance);
-  if (tuples.size() < kMinBatchRows) {
-    // Probe() materializes no match list — existence is the head of the
-    // chain, found without allocating.
-    for (Tuple& t : tuples) {
-      const bool match = !index.Probe(t.at(probe_column_)).empty();
-      if (match != anti_) out->Emit(instance, std::move(t));
-    }
-    return;
-  }
-  // Existence only needs each key's first match: one batched, prefetching
-  // probe resolves the whole chunk, then the emit loop moves out the
-  // keepers in order (identical to the row loop's output).
-  const size_t n = tuples.size();
-  Arena& arena = ThreadLocalKernelArena();
-  ScopedArena scope(&arena);
-  ColumnBatch batch(std::span<const Tuple>(tuples.data(), n), &arena);
-  const TileMatches m = ProbeFirstMatches(index, batch, probe_column_, &arena);
-  for (size_t i = 0; i < n; ++i) {
-    const bool match = m.first[i] != TempIndex::kNone;
-    if (match != anti_) out->Emit(instance, std::move(tuples[i]));
-  }
-}
-
-NodeEstimate PipelinedSemiJoinLogic::Estimate(const CostModel& cost_model,
-                                              double input_tuples) const {
-  NodeEstimate e;
-  const double build = static_cast<double>(inner_->cardinality()) *
-                       cost_model.index_build_tuple;
-  e.total_work = build + input_tuples * cost_model.index_probe;
-  e.activations = input_tuples;
-  e.output_tuples = input_tuples * 0.5;  // Unknown selectivity.
   return e;
 }
 

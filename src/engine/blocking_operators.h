@@ -14,7 +14,6 @@
 #include "engine/operators.h"
 #include "storage/relation.h"
 #include "storage/spill.h"
-#include "storage/temp_index.h"
 
 namespace dbs3 {
 
@@ -173,30 +172,6 @@ class SortLogic : public OperatorLogic {
   SortOrder order_;
   ExecResources resources_;
   std::vector<std::unique_ptr<InstanceState>> instances_;
-};
-
-/// Pipelined semi-join (or anti-join): emits the probe tuple iff the inner
-/// fragment of the receiving instance contains (semi) / lacks (anti) a
-/// matching key. The existential form of the AssocJoin probe.
-class PipelinedSemiJoinLogic : public OperatorLogic {
- public:
-  PipelinedSemiJoinLogic(const Relation* inner, size_t inner_column,
-                         size_t probe_column, bool anti = false);
-
-  Status Prepare(size_t num_instances) override;
-  /// Large chunks resolve every key's existence with one batched,
-  /// prefetching index probe.
-  void OnDataBatch(size_t instance, std::span<Tuple> tuples,
-                   Emitter* out) override;
-  std::string name() const override { return anti_ ? "anti-join" : "semi-join"; }
-  NodeEstimate Estimate(const CostModel& cost_model,
-                        double input_tuples) const override;
-
- private:
-  const Relation* inner_;
-  size_t probe_column_;
-  bool anti_;
-  FragmentIndexes indexes_;
 };
 
 }  // namespace dbs3

@@ -220,7 +220,12 @@ TriggeredJoinLogic::TriggeredJoinLogic(const Relation* outer,
       outer_column_(outer_column),
       inner_(inner),
       inner_column_(inner_column),
-      algorithm_(algorithm) {}
+      algorithm_(algorithm),
+      join_(inner, inner_column, outer_column, algorithm) {}
+
+void TriggeredJoinLogic::BindExecution(const ExecResources& resources) {
+  join_.BindExecution(resources);
+}
 
 NodeEstimate TriggeredJoinLogic::Estimate(const CostModel& cost_model,
                                           double input_tuples) const {
@@ -250,11 +255,17 @@ NodeEstimate TriggeredJoinLogic::Estimate(const CostModel& cost_model,
 }
 
 Status TriggeredJoinLogic::Prepare(size_t num_instances) {
-  if (outer_->degree() != inner_->degree()) {
+  if (outer_->partitioner() != inner_->partitioner() ||
+      outer_->partition_column() != outer_column_ ||
+      inner_->partition_column() != inner_column_) {
     return Status::FailedPrecondition(
-        "IdealJoin requires co-partitioned operands: '" + outer_->name() +
-        "' has " + std::to_string(outer_->degree()) + " fragments, '" +
-        inner_->name() + "' has " + std::to_string(inner_->degree()));
+        "IdealJoin requires operands co-partitioned on the join columns: '" +
+        outer_->name() + "' is " + outer_->partitioner().ToString() +
+        " on column " + std::to_string(outer_->partition_column()) +
+        " (joins on " + std::to_string(outer_column_) + "), '" +
+        inner_->name() + "' is " + inner_->partitioner().ToString() +
+        " on column " + std::to_string(inner_->partition_column()) +
+        " (joins on " + std::to_string(inner_column_) + ")");
   }
   if (num_instances != outer_->degree()) {
     return Status::InvalidArgument(
@@ -262,62 +273,18 @@ Status TriggeredJoinLogic::Prepare(size_t num_instances) {
         std::to_string(outer_->degree()) + "), got " +
         std::to_string(num_instances));
   }
-  return Status::OK();
+  return join_.Prepare(num_instances);
 }
 
 void TriggeredJoinLogic::OnTrigger(size_t instance, Emitter* out) {
-  const Fragment& outer = outer_->fragment(instance);
-  const Fragment& inner = inner_->fragment(instance);
-  switch (algorithm_) {
-    case JoinAlgorithm::kNestedLoop:
-      for (const Tuple& r : outer.tuples) {
-        const Value& key = r.at(outer_column_);
-        for (const Tuple& s : inner.tuples) {
-          if (s.at(inner_column_) == key) out->EmitConcat(instance, r, s);
-        }
-      }
-      break;
-    case JoinAlgorithm::kTempIndex: {
-      // Build on the fly over the inner fragment, probe with the outer.
-      // Probe() walks the index's preallocated chains and EmitConcat writes
-      // into a recycled output slot, so the match loop allocates nothing.
-      const TempIndex index(inner, inner_column_);
-      if (outer.tuples.size() >= kMinBatchRows) {
-        BatchProbeJoin(index, outer.tuples, outer_column_, inner.tuples,
-                       instance, out);
-        break;
-      }
-      for (const Tuple& r : outer.tuples) {
-        for (uint32_t i : index.Probe(r.at(outer_column_))) {
-          out->EmitConcat(instance, r, inner.tuples[i]);
-        }
-      }
-      break;
-    }
-  }
+  join_.Probe(instance, outer_->fragment(instance).tuples, out);
 }
 
-// ------------------------------------------------------ FragmentIndexes
-
-FragmentIndexes::FragmentIndexes(const Relation* inner, size_t column)
-    : inner_(inner), column_(column) {}
-
-void FragmentIndexes::Reset(size_t num_instances) {
-  once_.clear();
-  indexes_.clear();
-  for (size_t i = 0; i < num_instances; ++i) {
-    once_.push_back(std::make_unique<std::once_flag>());
-    indexes_.push_back(nullptr);
-  }
+void TriggeredJoinLogic::OnFinish(size_t instance, Emitter* out) {
+  join_.OnFinish(instance, out);
 }
 
-const TempIndex& FragmentIndexes::For(size_t instance) {
-  std::call_once(*once_[instance], [&] {
-    indexes_[instance] =
-        std::make_unique<TempIndex>(inner_->fragment(instance), column_);
-  });
-  return *indexes_[instance];
-}
+Status TriggeredJoinLogic::error() const { return join_.error(); }
 
 // -------------------------------------------------------- PipelinedJoin
 
@@ -430,9 +397,14 @@ PipelinedJoinLogic::InstanceState& PipelinedJoinLogic::EnsureBuilt(
 
 void PipelinedJoinLogic::OnDataBatch(size_t instance,
                                      std::span<Tuple> tuples, Emitter* out) {
-  // Per-activation setup hoisted out of the probe loop: the fragment
-  // reference, the algorithm dispatch, and (for indexed joins) the
-  // once-flag-guarded build resolution happen once per chunk.
+  Probe(instance, tuples, out);
+}
+
+void PipelinedJoinLogic::Probe(size_t instance,
+                               std::span<const Tuple> tuples, Emitter* out) {
+  // Per-call setup hoisted out of the probe loop: the fragment reference,
+  // the algorithm dispatch, and (for indexed joins) the
+  // once-flag-guarded build resolution happen once per span.
   const Fragment& inner = inner_->fragment(instance);
   switch (algorithm_) {
     case JoinAlgorithm::kNestedLoop:
@@ -451,9 +423,8 @@ void PipelinedJoinLogic::OnDataBatch(size_t instance,
       }
       const TempIndex& index = *state.index;
       if (tuples.size() >= kMinBatchRows) {
-        BatchProbeJoin(index,
-                       std::span<const Tuple>(tuples.data(), tuples.size()),
-                       probe_column_, inner.tuples, instance, out);
+        BatchProbeJoin(index, tuples, probe_column_, inner.tuples, instance,
+                       out);
         break;
       }
       for (const Tuple& probe : tuples) {
@@ -510,52 +481,6 @@ void StoreLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
   for (Tuple& t : tuples) {
     result_->AppendToFragment(instance, std::move(t));
   }
-}
-
-// -------------------------------------------------------- PipelinedFilter
-
-PipelinedFilterLogic::PipelinedFilterLogic(Predicate predicate,
-                                           double selectivity)
-    : predicate_(std::move(predicate)), selectivity_(selectivity) {}
-
-void PipelinedFilterLogic::OnDataBatch(size_t instance,
-                                       std::span<Tuple> tuples,
-                                       Emitter* out) {
-  if (predicate_.expr.has_value()) {
-    const PredExpr& expr = *predicate_.expr;
-    if (tuples.size() >= kMinBatchRows) {
-      // Selection-vector kernel: evaluate the whole chunk column-wise, then
-      // move out the survivors in order (identical to the row loop's output).
-      Arena& arena = ThreadLocalKernelArena();
-      ScopedArena scope(&arena);
-      ColumnBatch batch(std::span<const Tuple>(tuples.data(), tuples.size()),
-                        &arena);
-      uint32_t* sel = arena.AllocateArrayOf<uint32_t>(tuples.size());
-      const size_t kept = EvalPredAll(expr, batch, sel);
-      for (size_t i = 0; i < kept; ++i) {
-        out->Emit(instance, std::move(tuples[sel[i]]));
-      }
-      return;
-    }
-    for (Tuple& t : tuples) {
-      if (expr.EvalRow(t)) out->Emit(instance, std::move(t));
-    }
-    return;
-  }
-  // Custom predicate: hoist the std::function binding out of the loop.
-  const TuplePredicate& keep = predicate_.row;
-  for (Tuple& t : tuples) {
-    if (keep(t)) out->Emit(instance, std::move(t));
-  }
-}
-
-NodeEstimate PipelinedFilterLogic::Estimate(const CostModel& cost_model,
-                                            double input_tuples) const {
-  NodeEstimate e;
-  e.total_work = input_tuples * cost_model.scan_tuple;
-  e.activations = input_tuples;
-  e.output_tuples = input_tuples * selectivity_;
-  return e;
 }
 
 // ---------------------------------------------------------------- Project

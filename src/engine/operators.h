@@ -123,56 +123,11 @@ enum class JoinAlgorithm { kNestedLoop, kTempIndex };
 
 const char* JoinAlgorithmName(JoinAlgorithm a);
 
-/// Triggered join (IdealJoin node, Figure 10): both operands are
-/// co-partitioned on the join attribute; the control activation for
-/// instance i joins outer fragment i with inner fragment i.
-class TriggeredJoinLogic : public OperatorLogic {
- public:
-  /// Joins `outer` and `inner` on outer.column(outer_column) ==
-  /// inner.column(inner_column). Requires equal degrees.
-  TriggeredJoinLogic(const Relation* outer, size_t outer_column,
-                     const Relation* inner, size_t inner_column,
-                     JoinAlgorithm algorithm);
-
-  Status Prepare(size_t num_instances) override;
-  void OnTrigger(size_t instance, Emitter* out) override;
-  std::string name() const override { return "join"; }
-  NodeEstimate Estimate(const CostModel& cost_model,
-                        double input_tuples) const override;
-
- private:
-  const Relation* outer_;
-  size_t outer_column_;
-  const Relation* inner_;
-  size_t inner_column_;
-  JoinAlgorithm algorithm_;
-};
-
-/// Per-instance temporary indexes over the fragments of an inner relation:
-/// each is built on the first probe of its instance and then shared by
-/// every thread draining that instance (the pipelined joins' on-the-fly
-/// index).
-class FragmentIndexes {
- public:
-  FragmentIndexes(const Relation* inner, size_t column);
-
-  /// Drops every index and makes room for `num_instances` (from Prepare).
-  void Reset(size_t num_instances);
-
-  /// The index over fragment `instance`, built by the first caller.
-  const TempIndex& For(size_t instance);
-
- private:
-  const Relation* inner_;
-  size_t column_;
-  std::vector<std::unique_ptr<std::once_flag>> once_;
-  std::vector<std::unique_ptr<TempIndex>> indexes_;
-};
-
-/// Pipelined join (AssocJoin node, Figure 11): the inner operand is bound
+/// The hash join (AssocJoin node, Figure 11): the inner operand is bound
 /// statically; each data activation conveys a span of probe tuples, joined
 /// against the inner fragment of the receiving instance. Output rows are
-/// probe columns then inner columns.
+/// probe columns then inner columns. IdealJoin (TriggeredJoinLogic) runs
+/// this same join; only the probe tuples' arrival differs.
 ///
 /// kNestedLoop holds no build state: it charges nothing and never spills.
 ///
@@ -209,11 +164,14 @@ class PipelinedJoinLogic : public OperatorLogic {
 
   void BindExecution(const ExecResources& resources) override;
   Status Prepare(size_t num_instances) override;
-  /// Resolves the inner fragment / build once per activation, and for
-  /// large chunks hashes the whole probe-key column up front and runs the
-  /// batched prefetching probe.
+  /// Probes the activation's tuples.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
+  /// The probe body of both activation kinds: joins `tuples` against inner
+  /// fragment `instance`. Resolves the inner fragment / build once per
+  /// call, and for large spans hashes the whole probe-key column up front
+  /// and runs the batched prefetching probe.
+  void Probe(size_t instance, std::span<const Tuple> tuples, Emitter* out);
   /// Joins the instance's spilled partitions, then drops its build and
   /// returns the build's quota units.
   void OnFinish(size_t instance, Emitter* out) override;
@@ -264,7 +222,7 @@ class PipelinedJoinLogic : public OperatorLogic {
   void BuildPartitions(size_t instance);
   /// Probes resident partitions and defers probes of spilled ones.
   void ProbePartitions(size_t instance, InstanceState& state,
-                       std::span<Tuple> tuples, Emitter* out);
+                       std::span<const Tuple> tuples, Emitter* out);
   /// Joins every spilled pair of the instance and frees its partitions.
   void FinishPartitions(size_t instance, InstanceState& state, Emitter* out);
   /// Spills the largest in-memory partition with build rows; when none has
@@ -305,6 +263,40 @@ class PipelinedJoinLogic : public OperatorLogic {
   std::atomic<uint64_t> recursions_{0};
 };
 
+/// Triggered join (IdealJoin node, Figure 10): both operands are
+/// co-partitioned on the join attribute; the control activation for
+/// instance i probes inner fragment i with the whole of outer fragment i.
+/// It drives the one hash join above through its Probe body: the same
+/// quota-charged build, the same spill path and the same rows as AssocJoin.
+/// The build of an instance lives until its OnFinish.
+class TriggeredJoinLogic : public OperatorLogic {
+ public:
+  /// Joins `outer` and `inner` on outer.column(outer_column) ==
+  /// inner.column(inner_column).
+  TriggeredJoinLogic(const Relation* outer, size_t outer_column,
+                     const Relation* inner, size_t inner_column,
+                     JoinAlgorithm algorithm);
+
+  void BindExecution(const ExecResources& resources) override;
+  /// Requires co-partitioned operands (equal Partitioners, each partitioned
+  /// on its join column) and one instance per fragment.
+  Status Prepare(size_t num_instances) override;
+  void OnTrigger(size_t instance, Emitter* out) override;
+  void OnFinish(size_t instance, Emitter* out) override;
+  Status error() const override;
+  std::string name() const override { return "join"; }
+  NodeEstimate Estimate(const CostModel& cost_model,
+                        double input_tuples) const override;
+
+ private:
+  const Relation* outer_;
+  size_t outer_column_;
+  const Relation* inner_;
+  size_t inner_column_;
+  JoinAlgorithm algorithm_;
+  PipelinedJoinLogic join_;
+};
+
 /// Pipelined materialization: appends each incoming tuple to fragment
 /// `instance` of the result relation (the `store` at the end of a pipeline
 /// chain).
@@ -328,27 +320,6 @@ class StoreLogic : public OperatorLogic {
   /// GUARDED_BY is not expressible; AppendToFragment calls happen only
   /// under the matching fragment's lock.
   std::vector<std::unique_ptr<Mutex>> fragment_mu_;
-};
-
-/// Pipelined filter: forwards each incoming tuple iff it matches the
-/// predicate (post-join / post-repartition selections).
-class PipelinedFilterLogic : public OperatorLogic {
- public:
-  /// `selectivity` is the scheduling estimate of the kept fraction.
-  explicit PipelinedFilterLogic(Predicate predicate, double selectivity = 1.0);
-
-  /// Hoists the predicate dispatch out of the loop — lowered predicates
-  /// evaluate via PredExpr::EvalRow (no std::function call per tuple),
-  /// large chunks via the selection-vector kernel.
-  void OnDataBatch(size_t instance, std::span<Tuple> tuples,
-                   Emitter* out) override;
-  std::string name() const override { return "filter"; }
-  NodeEstimate Estimate(const CostModel& cost_model,
-                        double input_tuples) const override;
-
- private:
-  Predicate predicate_;
-  double selectivity_;
 };
 
 /// Whether `columns` lists 0..width-1 in order: a projection that keeps a

@@ -107,7 +107,7 @@ void PipelinedJoinLogic::BuildPartitions(size_t instance) {
 
 void PipelinedJoinLogic::ProbePartitions(size_t instance,
                                          InstanceState& state,
-                                         std::span<Tuple> tuples,
+                                         std::span<const Tuple> tuples,
                                          Emitter* out) {
   for (const Tuple& tuple : tuples) {
     const Value& key = tuple.at(probe_column_);

@@ -115,14 +115,13 @@ bool IsStar(const EsqlQuery& query) {
 
 /// Column pruning: for each base relation of the chain, the base columns
 /// (ascending) the query reads after that relation's scan — the select
-/// items, aggregate arguments, JOIN ON sides, GROUP BY, ORDER BY and the
-/// WHERE conjuncts in `post_preds` (those not pushed into a scan). A `*`
-/// keeps every column. A reference marks the column in every relation it
-/// could resolve to, so an ambiguous name stays ambiguous downstream and
+/// items, aggregate arguments, JOIN ON sides, GROUP BY and ORDER BY. WHERE
+/// conjuncts are not among them: each runs inside its relation's scan. A
+/// `*` keeps every column. A reference marks the column in every relation
+/// it could resolve to, so an ambiguous name stays ambiguous downstream and
 /// resolution reports exactly what it would over whole rows.
 std::vector<std::vector<size_t>> ColumnsRead(
-    const EsqlQuery& query, const std::vector<Relation*>& rels,
-    const std::vector<Comparison>& post_preds) {
+    const EsqlQuery& query, const std::vector<Relation*>& rels) {
   std::vector<std::vector<bool>> keep(rels.size());
   for (size_t i = 0; i < rels.size(); ++i) {
     keep[i].assign(rels[i]->schema().num_columns(), IsStar(query));
@@ -146,7 +145,6 @@ std::vector<std::vector<size_t>> ColumnsRead(
   }
   if (query.group_by.has_value()) mark(*query.group_by);
   if (query.order_by.has_value()) mark(query.order_by->column);
-  for (const Comparison& cmp : post_preds) mark(cmp.column);
 
   std::vector<std::vector<size_t>> out(rels.size());
   for (size_t i = 0; i < rels.size(); ++i) {
@@ -280,15 +278,6 @@ Result<std::pair<Predicate, double>> CombinePredicates(
   return std::make_pair(Predicate(std::move(combined)), selectivity);
 }
 
-/// Whether the comparison's column belongs to relation `rel` (given the
-/// bare column name exists there and, if qualified, the names agree).
-bool BelongsTo(const Comparison& cmp, const Relation& rel) {
-  if (!cmp.column.relation.empty() && cmp.column.relation != rel.name()) {
-    return false;
-  }
-  return rel.schema().IndexOf(cmp.column.column).ok();
-}
-
 /// Materializes a repartition of `rel` on base column `column`,
 /// hash-partitioned with the same degree — the subquery boundary of the
 /// general join case. The temporary holds only the base `columns`
@@ -330,24 +319,6 @@ std::string OriginalName(const Relation& rel) {
   return name;
 }
 
-/// Appends a pipelined filter node for `comparisons` (no-op when empty).
-Status AppendFilter(const std::vector<Comparison>& comparisons,
-                    PipelineState* state) {
-  if (comparisons.empty()) return Status::OK();
-  DBS3_ASSIGN_OR_RETURN(
-      auto pred,
-      CombinePredicates(state->bindings, state->schema, comparisons));
-  const size_t filter = state->plan.AddNode(
-      "post-filter", ActivationMode::kPipelined, state->instances,
-      std::make_unique<PipelinedFilterLogic>(std::move(pred.first),
-                                             pred.second));
-  DBS3_RETURN_IF_ERROR(state->plan.ConnectSameInstance(
-      static_cast<size_t>(state->tail), filter));
-  state->tail = static_cast<int>(filter);
-  state->description += " ; filter";
-  return Status::OK();
-}
-
 /// Builds the scan/join stage of the pipeline into `state`: a left-deep
 /// chain of pipelined joins, with the paper's IdealJoin shortcut for a
 /// single co-partitioned join and repartition materializations (subquery
@@ -364,32 +335,29 @@ Status BuildSource(Database& db, const EsqlQuery& query,
     rels.push_back(r);
   }
 
-  // Classify WHERE conjuncts by the unique base relation they reference;
-  // ambiguous ones run as a final post-filter (where resolution may still
-  // demand qualification).
+  // Each WHERE conjunct names exactly one base relation: resolve it over
+  // every relation's columns (an unknown or ambiguous column fails here,
+  // before any phase runs). Every conjunct is then pushed into its
+  // relation's scan or repartition scan below.
   std::vector<std::vector<Comparison>> rel_preds(rels.size());
-  std::vector<Comparison> post_preds;
-  for (const Comparison& cmp : query.where) {
-    int owner = -1;
-    bool ambiguous = false;
+  {
+    std::vector<Binding> all;
+    std::vector<size_t> owner_of;
     for (size_t i = 0; i < rels.size(); ++i) {
-      if (BelongsTo(cmp, *rels[i])) {
-        if (owner >= 0) ambiguous = true;
-        owner = static_cast<int>(i);
+      for (Binding& b : BindingsOf(*rels[i])) {
+        all.push_back(std::move(b));
+        owner_of.push_back(i);
       }
     }
-    if (owner < 0 || ambiguous) {
-      post_preds.push_back(cmp);
-    } else {
-      rel_preds[static_cast<size_t>(owner)].push_back(cmp);
+    for (const Comparison& cmp : query.where) {
+      DBS3_ASSIGN_OR_RETURN(const size_t col,
+                            ResolveBinding(all, cmp.column));
+      rel_preds[owner_of[col]].push_back(cmp);
     }
   }
 
-  // Column pruning: each scan emits only the columns read after it. Every
-  // conjunct in rel_preds is pushed into its relation's scan (or
-  // repartition scan) below, so post_preds are the only later WHERE reads.
-  const std::vector<std::vector<size_t>> read =
-      ColumnsRead(query, rels, post_preds);
+  // Column pruning: each scan emits only the columns read after it.
+  const std::vector<std::vector<size_t>> read = ColumnsRead(query, rels);
 
   if (query.joins.empty()) {
     DBS3_ASSIGN_OR_RETURN(auto pred,
@@ -406,7 +374,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
     state->bindings = BindingsOf(*from_rel, read[0]);
     state->description =
         "scan(" + from_rel->name() + ")" + PruneTag(read[0], *from_rel);
-    return AppendFilter(post_preds, state);
+    return Status::OK();
   }
 
   // Resolve the first join's sides against the two base relations.
@@ -445,13 +413,9 @@ Status BuildSource(Database& db, const EsqlQuery& query,
         rels[0]->partition_column() == left_col &&
         rels[1]->partition_column() == right_col && rel_preds[0].empty() &&
         rel_preds[1].empty();
-    if (copartitioned && query.joins.size() == 1 &&
-        options.memory_units == 0) {
+    if (copartitioned && query.joins.size() == 1) {
       // IdealJoin (Figure 10): one triggered instance per fragment pair.
-      // Skipped for budgeted queries: the triggered join's per-fragment
-      // index is unaccounted, so a declared budget routes through the
-      // quota-charging (and spilling) pipelined join instead. Its output is
-      // the whole concatenated row (not pruned).
+      // Its output is the whole concatenated row (not pruned).
       state->tail = static_cast<int>(state->plan.AddNode(
           "ideal-join", ActivationMode::kTriggered, rels[0]->degree(),
           std::make_unique<TriggeredJoinLogic>(rels[0], left_col, rels[1],
@@ -465,7 +429,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
       }
       state->description = "IdealJoin(" + rels[0]->name() + ", " +
                            rels[1]->name() + ")";
-      return AppendFilter(post_preds, state);
+      return Status::OK();
     }
 
     // Orient the first join: prefer the side partitioned on its join
@@ -499,7 +463,6 @@ Status BuildSource(Database& db, const EsqlQuery& query,
     state->bindings = BindingsOf(*probe, probe_read);
     state->description =
         "scan(" + probe->name() + ")" + PruneTag(probe_read, *probe);
-    rel_preds[probe_idx].clear();
     probe_col = PrunedIndex(probe_read, probe_col);
     const size_t probe_width = probe_read.size();
 
@@ -582,7 +545,6 @@ Status BuildSource(Database& db, const EsqlQuery& query,
         this_inner_col = temp->partition_column();
         inner = temp.get();
         state->temps.push_back(std::move(temp));
-        rel_preds[rel_index].clear();
         ++*phases;
       }
 
@@ -633,14 +595,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
       state->bindings = std::move(bindings);
     }
   }
-
-  // Anything not pushed (ambiguous, or predicates on the first probe that
-  // appeared after orientation) runs as a final pipelined filter.
-  std::vector<Comparison> remaining = std::move(post_preds);
-  for (std::vector<Comparison>& preds : rel_preds) {
-    remaining.insert(remaining.end(), preds.begin(), preds.end());
-  }
-  return AppendFilter(remaining, state);
+  return Status::OK();
 }
 
 /// Appends the aggregation stage (global or grouped).
@@ -835,7 +790,6 @@ QueryResult ToQueryResult(EsqlResult esql,
 /// pre-check before MakeSharedSpec does name resolution): scan-only — no
 /// joins, aggregates, grouping or ordering — and no declared memory.
 bool ShareableShape(const EsqlQuery& query, const EsqlOptions& options) {
-  if (!options.share_work) return false;
   if (options.memory_units != 0) return false;
   if (!query.joins.empty()) return false;
   if (query.group_by.has_value() || query.order_by.has_value()) return false;

@@ -19,6 +19,15 @@
 namespace dbs3 {
 
 /// Execution knobs of the ESQL layer.
+///
+/// A scan-only query (no joins, aggregates, grouping or ordering) with no
+/// declared memory may be folded by the runtime into a multi-query shared
+/// scan with compatible queries (same relation, same projection shape).
+/// One relation pass then serves the whole batch; per-query results are
+/// identical to solo execution. The batch forms only when compatible
+/// queries are simultaneously queued (see QueryRuntimeOptions::
+/// shared_batch_window_us to also wait for stragglers, and
+/// shared_batch_max_queries = 1 to turn sharing off).
 struct EsqlOptions {
   ScheduleOptions schedule;
   CostModel cost_model;
@@ -31,14 +40,6 @@ struct EsqlOptions {
   uint64_t memory_units = 0;
   std::optional<std::chrono::steady_clock::time_point> deadline;
   std::optional<CancelToken> cancel;
-  /// Allow the runtime to fold this query into a multi-query shared scan
-  /// with compatible queries (same relation, same projection shape,
-  /// scan-only, no declared memory). One relation pass then serves the
-  /// whole batch; per-query results are identical to solo execution. The
-  /// batch forms only when compatible queries are simultaneously queued
-  /// (see QueryRuntimeOptions::shared_batch_window_us to also wait for
-  /// stragglers).
-  bool share_work = true;
 };
 
 /// Outcome of one ESQL query.
@@ -64,8 +65,8 @@ struct EsqlResult {
 /// one side is partitioned on its join attribute becomes an AssocJoin
 /// probing with the other side (Figure 11); otherwise one side is first
 /// repartitioned into a materialized temporary (a subquery boundary,
-/// Figure 5) and an AssocJoin follows. WHERE conjuncts are pushed into the
-/// probe-side scan where possible; GROUP BY repartitions on the grouping
+/// Figure 5) and an AssocJoin follows. Each WHERE conjunct is pushed into
+/// the scan of the one relation it names; GROUP BY repartitions on the grouping
 /// attribute; ORDER BY sorts each result fragment.
 Result<EsqlResult> ExecuteEsql(Database& db, const std::string& query,
                                const EsqlOptions& options = {});

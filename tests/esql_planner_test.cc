@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -81,6 +83,36 @@ TEST_F(EsqlPlannerTest, CoPartitionedJoinUsesIdealJoin) {
   EXPECT_NE(r.value().physical_plan.find("IdealJoin"), std::string::npos)
       << r.value().physical_plan;
   EXPECT_EQ(r.value().result->cardinality(), 2'000u);
+}
+
+TEST_F(EsqlPlannerTest, BudgetedCoPartitionedJoinUsesIdealJoin) {
+  // A declared budget keeps the IdealJoin: its build charges the query's
+  // quota and spills like AssocJoin's, and the rows are the unbudgeted
+  // run's.
+  const std::string query =
+      "SELECT * FROM residents JOIN cities ON residents.key = cities.key";
+  auto unbudgeted = ExecuteEsql(db_, query, options_);
+  ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status().ToString();
+  std::vector<Tuple> expected = unbudgeted.value().result->Scan();
+  std::sort(expected.begin(), expected.end());
+
+  const uint64_t written_before =
+      db_.metrics().Snapshot().counters["spill.bytes_written"];
+  options_.memory_units = 8;  // Each cities fragment holds 20 rows.
+  QueryHandle handle = SubmitEsql(db_, query, options_);
+  auto budgeted = handle.Take();
+  ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
+  EXPECT_NE(budgeted.value().detail.find("IdealJoin"), std::string::npos)
+      << budgeted.value().detail;
+  std::vector<Tuple> rows = budgeted.value().result->Scan();
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, expected);
+
+  const QueryRunStats stats = handle.stats();
+  EXPECT_GT(stats.quota_high_water_units, 0u);
+  EXPECT_LE(stats.quota_high_water_units, options_.memory_units + 2);
+  EXPECT_GT(db_.metrics().Snapshot().counters["spill.bytes_written"],
+            written_before);
 }
 
 TEST_F(EsqlPlannerTest, JoinWithPushdownUsesAssocJoin) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -252,6 +255,23 @@ TEST(ExecutorTest, RejectsNonCopartitionedIdealJoin) {
   auto result = RunIdealJoin(db, "A", "key", "D", "key", options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+
+  // Equal degrees are not enough: Av holds A's rows over the same
+  // partitioner, but partitioned on its payload, so matching keys sit in
+  // fragments with different indices.
+  Relation* a = db.relation("A").value();
+  auto av = std::make_unique<Relation>("Av", a->schema(),
+                                       /*partition_column=*/1,
+                                       a->partitioner());
+  for (const Tuple& t : a->Scan()) ASSERT_TRUE(av->Insert(t).ok());
+  ASSERT_TRUE(db.AddRelation(std::move(av)).ok());
+  for (const auto& [outer, inner] :
+       {std::pair<std::string, std::string>{"Av", "Bp"}, {"Bp", "Av"}}) {
+    auto misaligned = RunIdealJoin(db, outer, "key", inner, "key", options);
+    ASSERT_FALSE(misaligned.ok()) << outer << " x " << inner;
+    EXPECT_EQ(misaligned.status().code(), StatusCode::kFailedPrecondition)
+        << misaligned.status().ToString();
+  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Differential tests of the memory-bounded operators: the pipelined hash
-// join and the spilling group-by must produce results identical to an
-// unconstrained reference under any budget, including budgets small enough
-// to force the join's hybrid path, recursive repartitioning and the block
-// nested-loop fallback. Also pins the cancellation contract: a torn-down
-// logic returns its quota charges and leaks no spill-file handles.
+// Differential tests of the memory-bounded operators: the hash join (as
+// AssocJoin's pipelined join and as IdealJoin's triggered driver) and the
+// spilling group-by must produce results identical to an unconstrained
+// reference under any budget, including budgets small enough to force the
+// join's hybrid path, recursive repartitioning and the block nested-loop
+// fallback. Also pins the cancellation contract: a torn-down logic returns
+// its quota charges and leaks no spill-file handles.
 
 #include <algorithm>
 #include <cstdint>
@@ -67,8 +68,14 @@ void DeliverAll(OperatorLogic& logic, const std::vector<Tuple>& probes,
   }
 }
 
-/// Probe-span sizes every join case runs under.
-constexpr size_t kSpans[] = {1, 16};
+/// The delivery that probes with one control activation over the whole
+/// outer fragment (IdealJoin's trigger) instead of data activations.
+constexpr size_t kTriggered = 0;
+
+/// The probe deliveries every join case runs under: data activations of
+/// 1 tuple (the paper's per-tuple activation) and of 16 (the batched
+/// probe), and the trigger.
+constexpr size_t kDeliveries[] = {1, 16, kTriggered};
 
 /// Degree-1 build relation with rows (key, 1000 + i).
 std::unique_ptr<Relation> MakeInner(const std::vector<int64_t>& keys) {
@@ -83,6 +90,17 @@ std::unique_ptr<Relation> MakeInner(const std::vector<int64_t>& keys) {
   return rel;
 }
 
+/// Degree-1 outer relation holding `probes`, in order, partitioned like
+/// MakeInner's relation: the triggered join's probe fragment.
+std::unique_ptr<Relation> MakeOuter(const std::vector<Tuple>& probes) {
+  auto rel = std::make_unique<Relation>(
+      "outer",
+      Schema({{"k", ValueType::kInt64}, {"seq", ValueType::kInt64}}), 0,
+      Partitioner(PartitionKind::kModulo, 1));
+  for (const Tuple& t : probes) EXPECT_TRUE(rel->Insert(t).ok());
+  return rel;
+}
+
 std::vector<Tuple> MakeProbes(const std::vector<int64_t>& keys) {
   std::vector<Tuple> probes;
   int64_t i = 0;
@@ -93,11 +111,36 @@ std::vector<Tuple> MakeProbes(const std::vector<int64_t>& keys) {
   return probes;
 }
 
-/// Drives one logic through the executor's calling convention, probes in
-/// `span`-tuple activations, and returns its sorted output. `quota` may be
-/// null (no accounting).
+/// The temp-index join under test for `delivery`: IdealJoin's triggered
+/// join of `outer` (MakeOuter of the probes) with `inner`, or AssocJoin's
+/// pipelined join against `inner`.
+std::unique_ptr<OperatorLogic> MakeJoin(const Relation* outer,
+                                        const Relation* inner,
+                                        size_t delivery) {
+  if (delivery == kTriggered) {
+    return std::make_unique<TriggeredJoinLogic>(outer, 0, inner, 0,
+                                                JoinAlgorithm::kTempIndex);
+  }
+  return std::make_unique<PipelinedJoinLogic>(inner, 0, 0,
+                                              JoinAlgorithm::kTempIndex);
+}
+
+/// Sends the probes to instance 0: one trigger (the logic reads them from
+/// its outer relation) or `delivery`-tuple data activations.
+void Drive(OperatorLogic& logic, const std::vector<Tuple>& probes,
+           size_t delivery, Emitter* out) {
+  if (delivery == kTriggered) {
+    logic.OnTrigger(0, out);
+  } else {
+    DeliverAll(logic, probes, delivery, out);
+  }
+}
+
+/// Drives one logic through the executor's calling convention, probes per
+/// `delivery`, and returns its sorted output. `quota` may be null (no
+/// accounting).
 std::vector<Tuple> RunJoin(OperatorLogic& logic,
-                           const std::vector<Tuple>& probes, size_t span,
+                           const std::vector<Tuple>& probes, size_t delivery,
                            MemoryQuota* quota,
                            MetricsRegistry* metrics = nullptr) {
   ExecResources resources;
@@ -106,9 +149,13 @@ std::vector<Tuple> RunJoin(OperatorLogic& logic,
   logic.BindExecution(resources);
   EXPECT_TRUE(logic.Prepare(1).ok());
   CapturingEmitter out;
-  DeliverAll(logic, probes, span, &out);
+  Drive(logic, probes, delivery, &out);
   logic.OnFinish(0, &out);
   EXPECT_TRUE(logic.error().ok()) << logic.error().ToString();
+  // Every delivery's temp-index build charges the bound quota.
+  if (quota != nullptr) {
+    EXPECT_GT(quota->high_water(), 0u);
+  }
   return out.take_sorted();
 }
 
@@ -138,14 +185,15 @@ TEST_F(SpillJoinDifferentialTest, UnboundedQuotaMatchesInMemoryJoin) {
   for (int i = 0; i < 500; ++i) probe_keys.push_back(rng.Range(0, 80));
   auto inner = MakeInner(build_keys);
   const std::vector<Tuple> probes = MakeProbes(probe_keys);
+  auto outer = MakeOuter(probes);
   const std::vector<Tuple> expected = Reference(inner.get(), probes);
   ASSERT_FALSE(expected.empty());
 
-  for (size_t span : kSpans) {
+  for (size_t delivery : kDeliveries) {
     MemoryQuota quota(0);  // Unlimited: tracks but never spills.
-    PipelinedJoinLogic join(inner.get(), 0, 0, JoinAlgorithm::kTempIndex);
-    EXPECT_EQ(RunJoin(join, probes, span, &quota), expected)
-        << "span=" << span;
+    auto join = MakeJoin(outer.get(), inner.get(), delivery);
+    EXPECT_EQ(RunJoin(*join, probes, delivery, &quota), expected)
+        << "delivery=" << delivery;
     EXPECT_EQ(quota.used(), 0u);  // Everything released after OnFinish.
     EXPECT_EQ(quota.high_water(), build_keys.size());  // Whole build.
   }
@@ -158,18 +206,19 @@ TEST_F(SpillJoinDifferentialTest, TinyBudgetsSpillAndStayByteIdentical) {
   for (int i = 0; i < 600; ++i) probe_keys.push_back(rng.Range(0, 120));
   auto inner = MakeInner(build_keys);
   const std::vector<Tuple> probes = MakeProbes(probe_keys);
+  auto outer = MakeOuter(probes);
   const std::vector<Tuple> expected = Reference(inner.get(), probes);
   ASSERT_FALSE(expected.empty());
 
   const int64_t live_before = SpillFile::live_files();
-  for (size_t span : kSpans) {
+  for (size_t delivery : kDeliveries) {
     for (uint64_t budget : {uint64_t{1}, uint64_t{4}, uint64_t{32},
                             uint64_t{1'000'000}}) {
       MemoryQuota quota(budget);
       MetricsRegistry metrics;
-      PipelinedJoinLogic join(inner.get(), 0, 0, JoinAlgorithm::kTempIndex);
-      EXPECT_EQ(RunJoin(join, probes, span, &quota, &metrics), expected)
-          << "budget=" << budget << " span=" << span;
+      auto join = MakeJoin(outer.get(), inner.get(), delivery);
+      EXPECT_EQ(RunJoin(*join, probes, delivery, &quota, &metrics), expected)
+          << "budget=" << budget << " delivery=" << delivery;
       EXPECT_EQ(quota.used(), 0u) << "budget=" << budget;
       // Forced-progress overshoot is bounded to O(1) units per instance.
       EXPECT_LE(quota.high_water(), budget + 2) << "budget=" << budget;
@@ -194,14 +243,15 @@ TEST_F(SpillJoinDifferentialTest, HotKeySkewFallsBackToNestedLoop) {
   probe_keys.push_back(8);  // One non-matching probe.
   auto inner = MakeInner(build_keys);
   const std::vector<Tuple> probes = MakeProbes(probe_keys);
+  auto outer = MakeOuter(probes);
   const std::vector<Tuple> expected = Reference(inner.get(), probes);
   ASSERT_EQ(expected.size(), 200u * 50u);
 
-  for (size_t span : kSpans) {
+  for (size_t delivery : kDeliveries) {
     MemoryQuota quota(2);
-    PipelinedJoinLogic join(inner.get(), 0, 0, JoinAlgorithm::kTempIndex);
-    EXPECT_EQ(RunJoin(join, probes, span, &quota), expected)
-        << "span=" << span;
+    auto join = MakeJoin(outer.get(), inner.get(), delivery);
+    EXPECT_EQ(RunJoin(*join, probes, delivery, &quota), expected)
+        << "delivery=" << delivery;
     EXPECT_EQ(quota.used(), 0u);
     EXPECT_LE(quota.high_water(), 2u + 2u);
   }
@@ -219,15 +269,16 @@ TEST_F(SpillJoinDifferentialTest, ZipfSkewAcrossBudgets) {
   }
   auto inner = MakeInner(build_keys);
   const std::vector<Tuple> probes = MakeProbes(probe_keys);
+  auto outer = MakeOuter(probes);
   const std::vector<Tuple> expected = Reference(inner.get(), probes);
   ASSERT_FALSE(expected.empty());
 
-  for (size_t span : kSpans) {
+  for (size_t delivery : kDeliveries) {
     for (uint64_t budget : {uint64_t{3}, uint64_t{17}, uint64_t{64}}) {
       MemoryQuota quota(budget);
-      PipelinedJoinLogic join(inner.get(), 0, 0, JoinAlgorithm::kTempIndex);
-      EXPECT_EQ(RunJoin(join, probes, span, &quota), expected)
-          << "budget=" << budget << " span=" << span;
+      auto join = MakeJoin(outer.get(), inner.get(), delivery);
+      EXPECT_EQ(RunJoin(*join, probes, delivery, &quota), expected)
+          << "budget=" << budget << " delivery=" << delivery;
       EXPECT_EQ(quota.used(), 0u);
     }
   }
@@ -243,14 +294,15 @@ TEST_F(SpillJoinDifferentialTest, TinyBudgetForcesRecursion) {
   for (int i = 0; i < 400; ++i) probe_keys.push_back(rng.Range(0, 250));
   auto inner = MakeInner(build_keys);
   const std::vector<Tuple> probes = MakeProbes(probe_keys);
+  auto outer = MakeOuter(probes);
   const std::vector<Tuple> expected = Reference(inner.get(), probes);
 
-  for (size_t span : kSpans) {
+  for (size_t delivery : kDeliveries) {
     MemoryQuota quota(4);
     MetricsRegistry metrics;
-    PipelinedJoinLogic join(inner.get(), 0, 0, JoinAlgorithm::kTempIndex);
-    EXPECT_EQ(RunJoin(join, probes, span, &quota, &metrics), expected)
-        << "span=" << span;
+    auto join = MakeJoin(outer.get(), inner.get(), delivery);
+    EXPECT_EQ(RunJoin(*join, probes, delivery, &quota, &metrics), expected)
+        << "delivery=" << delivery;
     EXPECT_GT(metrics.Snapshot().counters["spill.recursions"], 0u);
     EXPECT_EQ(quota.used(), 0u);
   }
@@ -267,30 +319,33 @@ TEST_F(SpillJoinDifferentialTest,
   for (int i = 0; i < 200; ++i) probe_keys.push_back(rng.Range(0, 80));
   auto inner = MakeInner(build_keys);
   const std::vector<Tuple> probes = MakeProbes(probe_keys);
+  auto outer = MakeOuter(probes);
 
   const int64_t live_before = SpillFile::live_files();
   // A budget just under the build size: most partitions stay resident
   // (and hold charges) while at least one spills (and opens files). A
   // budget over it holds the in-place build's whole charge.
   for (uint64_t budget : {uint64_t{280}, uint64_t{1'000}}) {
-    for (size_t span : kSpans) {
+    for (size_t delivery : kDeliveries) {
       MemoryQuota quota(budget);
       {
-        PipelinedJoinLogic join(inner.get(), 0, 0, JoinAlgorithm::kTempIndex);
+        auto join = MakeJoin(outer.get(), inner.get(), delivery);
         ExecResources resources;
         resources.quota = &quota;
-        join.BindExecution(resources);
-        ASSERT_TRUE(join.Prepare(1).ok());
+        join->BindExecution(resources);
+        ASSERT_TRUE(join->Prepare(1).ok());
         CapturingEmitter out;
-        // Build happens on first data; deferred probes open probe files.
-        DeliverAll(join, probes, span, &out);
+        // Build happens on the first probe; deferred probes open probe
+        // files.
+        Drive(*join, probes, delivery, &out);
         if (budget < build_keys.size()) {
           EXPECT_GT(SpillFile::live_files(), live_before);  // Mid-spill.
         }
         EXPECT_GT(quota.used(), 0u);
         // No OnFinish: the dtor is the cancel path.
       }
-      EXPECT_EQ(quota.used(), 0u) << "budget=" << budget;
+      EXPECT_EQ(quota.used(), 0u)
+          << "budget=" << budget << " delivery=" << delivery;
       EXPECT_EQ(SpillFile::live_files(), live_before);
     }
   }
@@ -533,11 +588,18 @@ std::vector<Tuple> SortedRows(const Relation& result) {
 }
 
 TEST(SpillJoinEndToEndTest, BudgetedFacadeJoinsChargeAndSpill) {
-  // The facade's AssocJoin and FilterJoin run the same quota-charging
-  // join as ESQL: a budget under the build side is enforced (bounded high
-  // water, spilled partitions), not just admission-charged.
+  // The facade's IdealJoin, AssocJoin and FilterJoin run the same
+  // quota-charging join as ESQL: a budget under the build side is enforced
+  // (bounded high water, spilled partitions), not just admission-charged.
   Database db(2);
   AddJoinPair(db);
+  // IdealJoin needs its outer co-partitioned with B on k; A is partitioned
+  // on v, so Ak holds A's rows partitioned on k.
+  Relation* a = db.relation("A").value();
+  auto ak = std::make_unique<Relation>("Ak", a->schema(), 0,
+                                       a->partitioner());
+  for (const Tuple& t : a->Scan()) ASSERT_TRUE(ak->Insert(t).ok());
+  ASSERT_TRUE(db.AddRelation(std::move(ak)).ok());
   const uint64_t budget = 100;
   QueryOptions options;
   options.schedule.total_threads = 4;
@@ -545,6 +607,10 @@ TEST(SpillJoinEndToEndTest, BudgetedFacadeJoinsChargeAndSpill) {
 
   using Submit = std::function<QueryHandle(const QueryOptions&)>;
   const std::vector<std::pair<std::string, Submit>> joins = {
+      {"ideal",
+       [&](const QueryOptions& o) {
+         return SubmitIdealJoin(db, "Ak", "k", "B", "k", o);
+       }},
       {"assoc",
        [&](const QueryOptions& o) {
          return SubmitAssocJoin(db, "A", "k", "B", "k", o);

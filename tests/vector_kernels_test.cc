@@ -20,7 +20,6 @@
 #include "common/rng.h"
 #include "dbs3/database.h"
 #include "dbs3/query.h"
-#include "engine/blocking_operators.h"
 #include "engine/vector/kernels.h"
 #include "engine/vector/pred.h"
 #include "storage/temp_index.h"
@@ -614,52 +613,6 @@ TEST_F(VectorDifferentialTest, TempIndexJoinOnZipfPair) {
       },
       ReferenceJoin(Rel("Z"), Column("Z", "key"), Rel("W"),
                     Column("W", "key")));
-}
-
-// ------------------------------------------ Differential: semi/anti join --
-
-// Drives PipelinedSemiJoinLogic's data entry point directly: the batched
-// existence probe (chunks of 4 and more) must match the per-tuple row loop
-// (chunk size 1) tuple for tuple, for both semi and anti joins.
-TEST(SemiJoinDifferentialTest, BatchedExistenceMatchesRowPath) {
-  Rng rng(21);
-  auto inner = std::make_unique<Relation>(
-      "inner", Schema({{"k", ValueType::kInt64}}), 0,
-      Partitioner(PartitionKind::kModulo, 2));
-  for (int i = 0; i < 150; ++i) {
-    ASSERT_TRUE(inner->Insert(Tuple({Value(rng.Range(0, 40))})).ok());
-  }
-  std::vector<Tuple> probes;
-  for (int i = 0; i < 256; ++i) {
-    probes.push_back(Tuple({Value(rng.Range(0, 60)), Value(rng.Range(0, 5))}));
-  }
-  struct Collector : Emitter {
-    void Emit(size_t, Tuple tuple) override {
-      rows.push_back(std::move(tuple));
-    }
-    std::vector<Tuple> rows;
-  };
-  auto run = [&](bool anti, size_t chunk_size) {
-    PipelinedSemiJoinLogic semi(inner.get(), 0, 0, anti);
-    EXPECT_TRUE(semi.Prepare(2).ok());
-    Collector out;
-    std::vector<Tuple> copy = probes;  // OnDataBatch may move from.
-    for (size_t base = 0; base < copy.size(); base += chunk_size) {
-      const size_t n = std::min(chunk_size, copy.size() - base);
-      // Every probe goes to the same instance at every chunk size: chunks
-      // never straddle a 64-probe block.
-      semi.OnDataBatch((base / 64) % 2, std::span<Tuple>(&copy[base], n),
-                       &out);
-    }
-    return out.rows;
-  };
-  for (bool anti : {false, true}) {
-    const std::vector<Tuple> per_tuple = run(anti, 1);
-    for (size_t chunk_size : {4, 16, 64}) {
-      EXPECT_EQ(run(anti, chunk_size), per_tuple)
-          << "anti=" << anti << " chunk_size=" << chunk_size;
-    }
-  }
 }
 
 }  // namespace
